@@ -4,9 +4,9 @@ Fields live on a uniform grid over [0, 1)^n with 2 <= n <= 4.  All calculus
 (exterior derivative, codifferential, Hodge star, Poisson solves) is spectral:
 derivatives act on the trigonometric interpolant, so the structural identities
 d(d(omega)) = 0, <d a, b> = <a, d* b>, and the Hodge projections hold to
-rounding instead of to a discretization order.  The Nyquist wavenumber is
-dropped from the derivative symbol, which keeps derivatives of real fields
-real and the derivative matrix exactly skew-adjoint on the grid.
+rounding instead of to a discretization order.  Each operator is one real FFT
+per input, a half-spectrum symbol and one inverse per result; the Nyquist bin
+is zeroed on every axis, so derivatives stay real and exactly skew-adjoint.
 """
 
 from __future__ import annotations
@@ -74,14 +74,37 @@ class Grid:
 
 
 @lru_cache(maxsize=None)
-def _wavenumbers(res: int) -> np.ndarray:
-    # Integer wavenumbers with the Nyquist bin zeroed: the +-res/2 pair is
-    # stored once by the FFT, so its derivative cannot stay real and the
-    # symbol drops it.
-    k = np.fft.fftfreq(res, d=1.0 / res)
+def _wavenumbers(n: int, res: int) -> tuple:
+    # 2 pi k per axis over the half spectrum (res, ..., res // 2 + 1) that _rfft
+    # puts last.  The Nyquist bin is zeroed on every axis, the halved one too:
+    # the +-res/2 pair is stored once, so its derivative cannot stay real.
+    k = 2.0 * np.pi * np.fft.fftfreq(res, d=1.0 / res)
     k[res // 2] = 0.0
     k.setflags(write=False)
-    return k
+    halved = k[: res // 2 + 1]
+    return tuple((k if axis < n - 1 else halved).reshape((-1,) + (1,) * (n - 1 - axis))
+                 for axis in range(n))
+
+
+def _rfft(arr: np.ndarray, first: int, n: int) -> np.ndarray:
+    # The n spatial axes from `first` on move last, out of the value axes'
+    # way, and the spectrum keeps them there; _irfft moves them back.
+    spatial = tuple(range(-n, 0))
+    moved = np.moveaxis(arr, tuple(range(first, first + n)), spatial)
+    return np.fft.rfftn(moved, axes=spatial)
+
+
+def _irfft(spec: np.ndarray, first: int, n: int, res: int) -> np.ndarray:
+    spatial = tuple(range(-n, 0))
+    out = np.fft.irfftn(spec, s=(res,) * n, axes=spatial)
+    return np.ascontiguousarray(np.moveaxis(out, spatial, tuple(range(first, first + n))))
+
+
+def _partials(arr: np.ndarray, first: int, n: int, res: int):
+    """The n spatial partials of arr, one at a time, from one forward transform."""
+    spec = _rfft(arr, first, n)
+    for k in _wavenumbers(n, res):
+        yield _irfft(1j * k * spec, first, n, res)
 
 
 @lru_cache(maxsize=None)
@@ -208,10 +231,7 @@ class VectorForm(_Algebra):
 
 
 def _spectral_axis_derivative(arr: np.ndarray, axis: int, res: int) -> np.ndarray:
-    shape = [1] * arr.ndim
-    shape[axis] = res
-    sym = (2j * np.pi * _wavenumbers(res)).reshape(shape)
-    return np.fft.ifft(np.fft.fft(arr, axis=axis) * sym, axis=axis).real
+    return next(_partials(arr, axis, 1, res))
 
 
 def partial_derivative(form, axis: int):
@@ -240,12 +260,12 @@ def exterior_derivative(form):
     if form.k >= form.grid.n:
         raise ValueError("top-degree form")
     n, res = form.grid.n, form.grid.res
-    derivs = [_spectral_axis_derivative(form.coeffs, 1 + ax, res) for ax in range(n)]
-    nout = len(components(n, form.k + 1))
-    out = np.zeros((nout,) + form.coeffs.shape[1:])
+    spec = _rfft(form.coeffs, 1, n)
+    ks = _wavenumbers(n, res)
+    out = np.zeros((len(components(n, form.k + 1)),) + spec.shape[1:], dtype=complex)
     for ia, axis, io, sign in _deriv_table(n, form.k):
-        out[io] += sign * derivs[axis][ia]
-    return form._like(out, form.k + 1)
+        out[io] += (1j * sign * ks[axis]) * spec[ia]
+    return form._like(_irfft(out, 1, n, res), form.k + 1)
 
 
 @lru_cache(maxsize=None)
@@ -323,39 +343,21 @@ def wedge(a: MatrixForm, b):
 
 @lru_cache(maxsize=None)
 def _laplace_symbol(n: int, res: int) -> np.ndarray:
-    # 4 pi^2 |k|^2 on the FFT grid, zero on the kernel bins (mean + Nyquist).
-    k2 = (2.0 * np.pi * _wavenumbers(res)) ** 2
-    sym = np.zeros((res,) * n)
-    for ax in range(n):
-        shape = [1] * n
-        shape[ax] = res
-        sym = sym + k2.reshape(shape)
+    # -4 pi^2 |k|^2 on the half spectrum, zero on the kernel bins (mean + Nyquist).
+    sym = -sum(k ** 2 for k in _wavenumbers(n, res))
     sym.setflags(write=False)
     return sym
 
 
-@lru_cache(maxsize=None)
-def _poisson_inverse(n: int, res: int) -> np.ndarray:
-    sym = _laplace_symbol(n, res)
-    inv = np.zeros_like(sym)
-    np.divide(1.0, sym, out=inv, where=sym > 0)
-    inv.setflags(write=False)
-    return inv
-
-
-def _spatial_axes(form) -> tuple:
-    return tuple(range(1, form.grid.n + 1))
-
-
-def _broadcast_symbol(sym: np.ndarray, form) -> np.ndarray:
-    return sym.reshape((1,) + sym.shape + (1,) * form._value_ndim)
+def _apply_symbol(form, sym: np.ndarray):
+    """One real-FFT round trip of every coefficient through a half-spectrum symbol."""
+    n, res = form.grid.n, form.grid.res
+    return form._like(_irfft(_rfft(form.coeffs, 1, n) * sym, 1, n, res))
 
 
 def laplacian(form):
     """Componentwise sum of second derivatives (negative semidefinite)."""
-    sym = _broadcast_symbol(_laplace_symbol(form.grid.n, form.grid.res), form)
-    spec = np.fft.fftn(form.coeffs, axes=_spatial_axes(form))
-    return form._like(np.fft.ifftn(-sym * spec, axes=_spatial_axes(form)).real)
+    return _apply_symbol(form, _laplace_symbol(form.grid.n, form.grid.res))
 
 
 def solve_poisson(form, zero_mean: bool = False):
@@ -365,14 +367,13 @@ def solve_poisson(form, zero_mean: bool = False):
     dropped Nyquist bins) is discarded.  Passing zero_mean asserts that the
     input means vanish, turning silent kernel loss into an error.
     """
-    axes = _spatial_axes(form)
     if zero_mean:
+        axes = tuple(range(1, form.grid.n + 1))
         worst = float(np.abs(form.coeffs.mean(axis=axes)).max())
         if worst > 1e-10:
             raise ValueError(f"right-hand side has nonzero mean {worst:.3e}")
-    inv = _broadcast_symbol(_poisson_inverse(form.grid.n, form.grid.res), form)
-    spec = np.fft.fftn(form.coeffs, axes=axes)
-    return form._like(np.fft.ifftn(inv * spec, axes=axes).real)
+    sym = _laplace_symbol(form.grid.n, form.grid.res)
+    return _apply_symbol(form, np.divide(-1.0, sym, out=np.zeros_like(sym), where=sym < 0))
 
 
 def project_closed(form):
@@ -388,10 +389,7 @@ def harmonic_part(form):
     On the torus this is the constant part of each component, plus whatever
     energy sits in the dropped Nyquist bins.
     """
-    axes = _spatial_axes(form)
-    sym = _broadcast_symbol(_laplace_symbol(form.grid.n, form.grid.res), form)
-    spec = np.where(sym == 0, np.fft.fftn(form.coeffs, axes=axes), 0.0)
-    return form._like(np.fft.ifftn(spec, axes=axes).real)
+    return _apply_symbol(form, _laplace_symbol(form.grid.n, form.grid.res) == 0)
 
 
 def inner(a, b) -> float:

@@ -82,13 +82,13 @@ def so_exp(skew: np.ndarray) -> np.ndarray:
     """
     w, v = np.linalg.eigh(1j * np.asarray(skew))
     phase = np.exp(-1j * w)
-    out = np.einsum("...ij,...j,...kj->...ik", v, phase, v.conj())
+    out = (v * phase[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
     return np.ascontiguousarray(out.real)
 
 
 def _orthogonality_defect(pointwise: np.ndarray) -> float:
     m = pointwise.shape[-1]
-    gram = np.einsum("...ji,...jk->...ik", pointwise, pointwise)
+    gram = np.swapaxes(pointwise, -1, -2) @ pointwise
     return float(np.abs(gram - np.eye(m)).max())
 
 
@@ -111,9 +111,8 @@ def rotation_distance(pointwise: np.ndarray):
 def _gauged_connection(pointwise: np.ndarray, omega: MatrixForm) -> np.ndarray:
     """Coefficients of P^T dP + P^T Omega P for a pointwise rotation array."""
     dp = forms.exterior_derivative(MatrixForm(omega.grid, 0, pointwise[None])).coeffs
-    pulled = np.einsum("...ji,a...jk->a...ik", pointwise, dp)
-    pulled += np.einsum("...ji,a...jk,...kl->a...il", pointwise, omega.coeffs, pointwise)
-    return pulled
+    pt = np.swapaxes(pointwise, -1, -2)
+    return pt @ dp + pt @ omega.coeffs @ pointwise
 
 
 def gauge_energy(P: MatrixForm, omega: MatrixForm) -> float:
@@ -169,7 +168,7 @@ def minimize_gauge(omega: MatrixForm, tol: float | None = None,
         slope = float((grad * eta).sum()) * grid.cell
         while True:
             step = so_exp(tau * eta)
-            candidate = np.einsum("...ij,...jk->...ik", pointwise, step)
+            candidate = pointwise @ step
             if _orthogonality_defect(candidate) > REPROJECT_TOL:
                 candidate = _polar_project(candidate)
             trial = _gauged_connection(candidate, omega)

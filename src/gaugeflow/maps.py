@@ -152,8 +152,7 @@ def heat_flow_relax(u0: MapField, tau: float | None = None, steps: int = 100) ->
         tau = stability
     if tau <= 0 or tau > stability:
         raise ValueError(f"step {tau:.3e} outside the stability guard {stability:.3e}")
-    inv_axes = tuple(range(grid.n))
-    sym = forms._laplace_symbol(grid.n, grid.res)[..., None]
+    sym = forms._laplace_symbol(grid.n, grid.res)
     u = u0
     energy = dirichlet_energy(u)
     for _ in range(steps):
@@ -162,8 +161,8 @@ def heat_flow_relax(u0: MapField, tau: float | None = None, steps: int = 100) ->
             du = map_gradient(u)
             grad2 = (du.coeffs ** 2).sum(axis=(0, -1))
             rhs = u.values + trial_tau * grad2[..., None] * u.values
-            spec = np.fft.fftn(rhs, axes=inv_axes)
-            v = np.fft.ifftn(spec / (1.0 + trial_tau * sym), axes=inv_axes).real
+            spec = forms._rfft(rhs, 0, grid.n)
+            v = forms._irfft(spec / (1.0 - trial_tau * sym), 0, grid.n, grid.res)
             candidate = _renormalize(grid, v)
             cand_energy = dirichlet_energy(candidate)
             # tolerate rounding wiggle at exact fixed points

@@ -67,11 +67,11 @@ def current_weight(n: int) -> float:
 
 
 def _lmul(mat: np.ndarray, form: MatrixForm) -> MatrixForm:
-    return form._like(np.einsum("...ij,c...jk->c...ik", mat, form.coeffs))
+    return form._like(mat @ form.coeffs)
 
 
 def _rmul(form: MatrixForm, mat: np.ndarray) -> MatrixForm:
-    return form._like(np.einsum("c...ij,...jk->c...ik", form.coeffs, mat))
+    return form._like(form.coeffs @ mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,11 +122,9 @@ class StateNorm:
 def gradient_norm(form: MatrixForm, q: float) -> float:
     """Lorentz L^{n,q} norm of the full first-derivative of a form."""
     grid = form.grid
-    parts = np.stack([
-        forms._spectral_axis_derivative(form.coeffs, 1 + axis, grid.res)
-        for axis in range(grid.n)])
-    axes = (0, 1) + tuple(range(2 + grid.n, parts.ndim))
-    magnitude = np.sqrt(np.sum(parts ** 2, axis=axes))
+    axes = (0,) + tuple(range(1 + grid.n, form.coeffs.ndim))
+    magnitude = np.sqrt(sum(np.sum(part ** 2, axis=axes) for part in
+                            forms._partials(form.coeffs, 1, grid.n, grid.res)))
     return lorentz.lorentz_norm(magnitude, float(grid.n), q)
 
 

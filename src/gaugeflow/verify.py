@@ -85,8 +85,7 @@ def _coordinate_divergence(A: MatrixForm, B: MatrixForm, u: MapField) -> np.ndar
     """Independent assembly: componentwise fluxes, then a plain divergence."""
     grid = A.grid
     n, m = grid.n, A.m
-    partials = [forms._spectral_axis_derivative(u.values, axis, grid.res)
-                for axis in range(n)]
+    partials = list(forms._partials(u.values, 0, n, grid.res))
     btil = np.zeros((n, n) + grid.shape + (m, m))
     for idx, (al, be) in enumerate(forms.components(n, 2)):
         btil[al, be] = B.coeffs[idx]

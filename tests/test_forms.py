@@ -1,10 +1,15 @@
 """Spectral exterior calculus: analytic oracles first, then structural laws."""
 
+import collections
+import inspect
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gaugeflow import synth
+from gaugeflow import connection, forms, gauge, maps, solver, synth, verify
 from gaugeflow.forms import (
     Grid,
     MatrixForm,
@@ -384,3 +389,183 @@ class TestNormsAndParts:
         assert np.array_equal(t.coeffs, np.swapaxes(w.coeffs, -1, -2))
         skew = synth.random_matrix_form(g, 1, 3, rng, kmax=2, antisymmetric=True)
         assert skew.antisymmetry_defect() == 0.0
+
+
+# Reference: the per-axis complex-FFT calculus the real-FFT kernel replaced.
+# Every derivative is a 1-D fft/ifft pair over the full spectrum; symbols are
+# built on the full grid with the Nyquist bin zeroed.
+def _ref_wavenumbers(res):
+    k = np.fft.fftfreq(res, d=1.0 / res)
+    k[res // 2] = 0.0
+    return k
+
+
+def _ref_axis_derivative(arr, axis, res):
+    shape = [1] * arr.ndim
+    shape[axis] = res
+    sym = (2j * np.pi * _ref_wavenumbers(res)).reshape(shape)
+    return np.fft.ifft(np.fft.fft(arr, axis=axis) * sym, axis=axis).real
+
+
+def _ref_laplace_symbol(form):
+    n, res = form.grid.n, form.grid.res
+    k2 = (2.0 * np.pi * _ref_wavenumbers(res)) ** 2
+    sym = np.zeros((res,) * n)
+    for ax in range(n):
+        shape = [1] * n
+        shape[ax] = res
+        sym = sym + k2.reshape(shape)
+    return sym.reshape((1,) + sym.shape + (1,) * form._value_ndim)
+
+
+def _ref_spectral(form, apply):
+    axes = tuple(range(1, form.grid.n + 1))
+    spec = np.fft.fftn(form.coeffs, axes=axes)
+    return np.fft.ifftn(apply(spec, _ref_laplace_symbol(form)), axes=axes).real
+
+
+def _ref_poisson(spec, sym):
+    inv = np.zeros_like(sym)
+    np.divide(1.0, sym, out=inv, where=sym > 0)
+    return inv * spec
+
+
+REFERENCES = (
+    (laplacian, lambda f: _ref_spectral(f, lambda s, sym: -sym * s)),
+    (solve_poisson, lambda f: _ref_spectral(f, _ref_poisson)),
+    (harmonic_part, lambda f: _ref_spectral(f, lambda s, sym: np.where(sym == 0, s, 0.0))),
+)
+
+
+def _ref_exterior_derivative(form):
+    n, res = form.grid.n, form.grid.res
+    derivs = [_ref_axis_derivative(form.coeffs, 1 + ax, res) for ax in range(n)]
+    out = np.zeros((len(components(n, form.k + 1)),) + form.coeffs.shape[1:])
+    for ia, axis, io, sign in forms._deriv_table(n, form.k):
+        out[io] += sign * derivs[axis][ia]
+    return out
+
+
+def _random_form(grid, k, values, rng):
+    # Full-spectrum noise, Nyquist bins included, so every bin is exercised.
+    ncomp = len(components(grid.n, k))
+    if values == "matrix":
+        return MatrixForm(grid, k, rng.standard_normal((ncomp,) + grid.shape + (2, 2)))
+    return VectorForm(grid, k, rng.standard_normal((ncomp,) + grid.shape + (3,)))
+
+
+class TestRealKernelOracle:
+    """The real-FFT kernel against the complex per-axis algorithm it replaced."""
+
+    @pytest.mark.parametrize("values", ["matrix", "vector"])
+    @pytest.mark.parametrize("res", [8, 10])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_complex_reference(self, n, res, values):
+        # res 10 leaves an odd number (4) of interior bins on the halved axis
+        grid = Grid(n, res)
+        rng = np.random.default_rng(100 * n + res)
+        for k in range(n + 1):
+            form = _random_form(grid, k, values, rng)
+            checks = [(fn(form).coeffs, ref(form)) for fn, ref in REFERENCES]
+            if k < n:
+                checks.append((exterior_derivative(form).coeffs,
+                               _ref_exterior_derivative(form)))
+            for got, want in checks:
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("res", [8, 10])
+    def test_single_axis_derivative(self, res):
+        grid = Grid(3, res)
+        arr = np.random.default_rng(res).standard_normal(grid.shape + (2,))
+        for axis in range(3):
+            want = _ref_axis_derivative(arr, axis, res)
+            got = forms._spectral_axis_derivative(arr, axis, res)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestNyquistModes:
+    """Pure Nyquist modes sit in the kernel of every symbol, on every axis."""
+
+    @pytest.mark.parametrize("res", [8, 10])
+    @pytest.mark.parametrize("axis", [0, 2])  # axis 2 is the halved rfftn axis
+    @pytest.mark.parametrize("values", ["matrix", "vector"])
+    def test_nyquist_field_is_harmonic(self, axis, res, values):
+        grid = Grid(3, res)
+        sign = (-1.0) ** np.arange(res)
+        shape = [1] * 3
+        shape[axis] = res
+        wave = np.broadcast_to(sign.reshape(shape), grid.shape)
+        vshape = (2, 2) if values == "matrix" else (3,)
+        value = np.random.default_rng(axis).standard_normal((3, 1, 1, 1) + vshape)
+        coeffs = wave.reshape((1,) + grid.shape + (1,) * len(vshape)) * value
+        form = (MatrixForm if values == "matrix" else VectorForm)(grid, 1, coeffs)
+        assert np.abs(exterior_derivative(form).coeffs).max() <= 1e-14
+        assert np.abs(harmonic_part(form).coeffs - form.coeffs).max() <= 1e-14
+        assert np.abs(solve_poisson(form).coeffs).max() <= 1e-14
+
+
+COMPLEX_TRANSFORMS = ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2")
+REAL_FORWARD = ("rfft", "rfftn", "rfft2")
+REAL_INVERSE = ("irfft", "irfftn", "irfft2")
+KERNEL_MODULES = ("gaugeflow.forms", "gaugeflow.solver", "gaugeflow.maps", "gaugeflow.verify")
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Count np.fft calls by (calling module, transform name)."""
+    calls = collections.Counter()
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[sys._getframe(1).f_globals.get("__name__"), name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in COMPLEX_TRANSFORMS + REAL_FORWARD + REAL_INVERSE:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    return calls
+
+
+def _count(calls, names, modules=None):
+    return sum(c for (module, name), c in calls.items()
+               if name in names and (modules is None or module in modules))
+
+
+class TestTransformCount:
+    """One forward real transform per input, one inverse per result, none complex."""
+
+    @pytest.mark.parametrize("op", ["exterior_derivative", "laplacian", "solve_poisson",
+                                    "gradient_norm"])
+    def test_one_forward_real_transform(self, op, fft_calls, rng):
+        form = synth.random_matrix_form(Grid(3, 8), 2, 2, rng, kmax=2)
+        fft_calls.clear()  # synth draws with a complex inverse transform
+        if op == "gradient_norm":
+            solver.gradient_norm(form, 2.0)
+        else:
+            getattr(forms, op)(form)
+        assert _count(fft_calls, REAL_FORWARD) == 1
+        # the gradient norm inverts each of the n = 3 partials on its own
+        assert _count(fft_calls, REAL_INVERSE) == (3 if op == "gradient_norm" else 1)
+        assert _count(fft_calls, COMPLEX_TRANSFORMS) == 0
+
+    def test_pipeline_issues_no_complex_transform(self, fft_calls):
+        grid = Grid(3, 8)
+        u = maps.heat_flow_relax(
+            maps.perturbed_map(maps.constant_map(grid, 3), 3e-4, seed=42, kmin=2, kmax=2),
+            steps=3)
+        omega = connection.omega_sphere(u)
+        pair = gauge.coulomb_gauge(omega, tol=1e-5)
+        A, B, _ = solver.solve_pair(omega, pair, tol=1e-8)
+        verify.conservation_residual(A, B, u)
+        verify.sphere_divergence_residual(u)
+        verify.bound_ratios(A, B, omega)
+        maps.tension_residual(u)
+        assert _count(fft_calls, REAL_FORWARD, KERNEL_MODULES) > 0
+        assert _count(fft_calls, COMPLEX_TRANSFORMS, KERNEL_MODULES) == 0
+
+    @pytest.mark.parametrize("module", [forms, solver, maps, verify])
+    def test_no_complex_transform_in_source(self, module):
+        # also covers branches the pipeline above does not reach
+        pattern = r"\bfft\.(?:%s)\(" % "|".join(COMPLEX_TRANSFORMS)
+        assert not re.search(pattern, inspect.getsource(module))

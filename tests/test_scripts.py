@@ -1,0 +1,35 @@
+"""Smoke tests of the command-line scripts, run in-process through main(argv)."""
+
+import csv
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_contraction_sweep_records_regime_refusal(tmp_path):
+    out = tmp_path / "sweep.csv"
+    sweep = load_script("contraction_sweep")
+    argv = ["--res", "16", "--eps", "1e-2", "1.0", "--samples", "1", "--out", str(out)]
+    assert sweep.main(argv) == 0
+    with out.open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [float(row["epsilon"]) for row in rows] == [1e-2, 1.0]
+    assert [row["status"] for row in rows] == ["ok", "outside contraction regime"]
+    assert int(rows[0]["iterations"]) >= 1 and float(rows[0]["residual_l2"]) >= 0.0
+
+
+def test_refinement_study_writes_three_rungs(tmp_path):
+    out = tmp_path / "refinement"
+    study = load_script("refinement_study")
+    assert study.main(["--ladder", "8", "16", "32", "--band", "2", "--out", str(out)]) == 0
+    doc = json.loads((out / "study.json").read_text())
+    assert [res for res, _ in doc["residual"]["ladder"]] == [8, 16, 32]
