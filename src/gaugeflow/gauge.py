@@ -146,9 +146,11 @@ def minimize_gauge(omega: MatrixForm, tol: float | None = None,
     tau = 0.1 / (1.0 + forms.sup_norm(omega))
     pointwise = np.broadcast_to(np.eye(omega.m), grid.shape + (omega.m, omega.m)).copy()
     trace = []
+    # The accepted trial's gauged connection and energy carry over, so each
+    # rotation is gauged once.
+    gauged = _gauged_connection(pointwise, omega)
+    energy = float((gauged ** 2).sum()) * grid.cell
     for iteration in range(max_iter + 1):
-        gauged = _gauged_connection(pointwise, omega)
-        energy = float((gauged ** 2).sum()) * grid.cell
         crit = forms.codifferential(MatrixForm(grid, 1, gauged))
         residual = forms.l2_norm(crit)
         trace.append((energy, residual))
@@ -181,6 +183,7 @@ def minimize_gauge(omega: MatrixForm, tol: float | None = None,
                     f"gauge descent stalled at energy {energy:.6e} with criticality "
                     f"{residual:.3e} > tol {tol:.3e}; trace attached", trace)
         pointwise = np.ascontiguousarray(candidate)
+        gauged, energy = trial, trial_energy
         tau *= 1.5
     raise AssertionError("unreachable")
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import forms
 
-__all__ = ["RearrangementProfile", "rearrange", "lorentz_norm", "sup_norm"]
+__all__ = ["RearrangementProfile", "rearrange", "lorentz_norm"]
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,3 @@ def lorentz_norm(field, p: float, q: float) -> float:
     tq = prof.cum ** (q / p)
     steps = np.diff(tq, prepend=0.0)
     return float((p / q * np.sum(prof.values ** q * steps)) ** (1.0 / q))
-
-
-def sup_norm(field) -> float:
-    """Max pointwise magnitude."""
-    vals, _ = _magnitudes(field)
-    return float(vals.max(initial=0.0))

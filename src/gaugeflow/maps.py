@@ -157,9 +157,8 @@ def heat_flow_relax(u0: MapField, tau: float | None = None, steps: int = 100) ->
     energy = dirichlet_energy(u)
     for _ in range(steps):
         trial_tau = tau
+        grad2 = (map_gradient(u).coeffs ** 2).sum(axis=(0, -1))
         for _ in range(21):
-            du = map_gradient(u)
-            grad2 = (du.coeffs ** 2).sum(axis=(0, -1))
             rhs = u.values + trial_tau * grad2[..., None] * u.values
             spec = forms._rfft(rhs, 0, grid.n)
             v = forms._irfft(spec / (1.0 - trial_tau * sym), 0, grid.n, grid.res)

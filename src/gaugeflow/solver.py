@@ -95,9 +95,6 @@ class PairState:
     def zeros(cls, grid: Grid, m: int) -> "PairState":
         return cls(MatrixForm.zeros(grid, 0, m), MatrixForm.zeros(grid, 2, m))
 
-    def __sub__(self, other: "PairState") -> "PairState":
-        return PairState(self.a - other.a, self.b - other.b)
-
 
 @dataclass(frozen=True)
 class StateNorm:
@@ -128,11 +125,12 @@ def gradient_norm(form: MatrixForm, q: float) -> float:
     return lorentz.lorentz_norm(magnitude, float(grid.n), q)
 
 
-def state_norm(state: PairState) -> StateNorm:
-    n = float(state.a.grid.n)
-    sup_a = forms.sup_norm(state.a)
-    da = lorentz.lorentz_norm(forms.exterior_derivative(state.a), n, 2.0)
-    db = gradient_norm(state.b, 2.0)
+def state_norm(a: MatrixForm, b: MatrixForm) -> StateNorm:
+    """Norm of the state with blocks (a, b); differences pass their blocks."""
+    n = float(a.grid.n)
+    sup_a = forms.sup_norm(a)
+    da = lorentz.lorentz_norm(forms.exterior_derivative(a), n, 2.0)
+    db = gradient_norm(b, 2.0)
     return StateNorm(sup_a, da, db, sup_a + da + db)
 
 
@@ -141,8 +139,7 @@ def random_state(grid: Grid, m: int, rng: np.random.Generator,
     """A state on the unit sphere of the norm (scaled to `total`)."""
     a = synth.random_matrix_form(grid, 0, m, rng, kmax, antisymmetric=False)
     b = forms.project_closed(synth.random_matrix_form(grid, 2, m, rng, kmax))
-    state = PairState(a, b)
-    scale = total / state_norm(state).total
+    scale = total / state_norm(a, b).total
     return PairState(scale * a, scale * b)
 
 
@@ -154,9 +151,13 @@ class SolverError(RuntimeError):
         self.trace = tuple(trace)
 
 
-def _mean_defect(form: MatrixForm) -> float:
-    axes = tuple(range(1, form.grid.n + 1))
-    return float(np.abs(form.coeffs.mean(axis=axes)).max())
+def _check_source_mean(src: MatrixForm, label: str) -> None:
+    # Sources are divergences, so their means vanish to rounding; tolerance is
+    # relative above unit size so scale alone cannot trip the wiring check.
+    axes = tuple(range(1, src.grid.n + 1))
+    defect = float(np.abs(src.coeffs.mean(axis=axes)).max())
+    if defect > MEAN_TOL * max(1.0, forms.l2_norm(src)):
+        raise RuntimeError(f"exactness identity broken: {label} source mean {defect:.3e}")
 
 
 def picard_step(state: PairState, gauge_pair: GaugePair) -> PairState:
@@ -170,8 +171,7 @@ def picard_step(state: PairState, gauge_pair: GaugePair) -> PairState:
     if gauge_pair.xi is None:
         raise ValueError("gauge pair is incomplete: extract the potential first")
     grid = state.a.grid
-    p = gauge_pair.P.coeffs[0]
-    pt = np.swapaxes(p, -1, -2)
+    pt = np.swapaxes(gauge_pair.P.coeffs[0], -1, -2)
 
     da = forms.exterior_derivative(state.a)
     d_star_xi = forms.exterior_derivative(forms.hodge_star(gauge_pair.xi))
@@ -182,21 +182,14 @@ def picard_step(state: PairState, gauge_pair: GaugePair) -> PairState:
                   * forms.hodge_star(forms.wedge(da, d_star_xi))
                   + second_sign(grid.n)
                   * forms.hodge_star(forms.wedge(d_star_b, dp)))
-    # Sources are divergences, so their means vanish to rounding; tolerance is
-    # relative above unit size so scale alone cannot trip the wiring check.
-    if _mean_defect(scalar_src) > MEAN_TOL * max(1.0, forms.l2_norm(scalar_src)):
-        raise RuntimeError(
-            f"exactness identity broken: 0-form source mean {_mean_defect(scalar_src):.3e}")
+    _check_source_mean(scalar_src, "0-form")
 
     a_tilde = state.a.coeffs[0] + np.eye(state.a.m)
     transported = _rmul(_lmul(a_tilde, d_star_xi), pt)
-    dpt = forms.exterior_derivative(MatrixForm(grid, 0, pt[None]))
-    two_src = (TWO_FORM_JACOBIAN_COUPLING * forms.wedge(da, dpt)
+    two_src = (TWO_FORM_JACOBIAN_COUPLING * forms.wedge(da, forms.value_transpose(dp))
                + TWO_FORM_TRANSPORT_COUPLING
                * forms.hodge_star(forms.codifferential(transported)))
-    if _mean_defect(two_src) > MEAN_TOL * max(1.0, forms.l2_norm(two_src)):
-        raise RuntimeError(
-            f"exactness identity broken: 2-form source mean {_mean_defect(two_src):.3e}")
+    _check_source_mean(two_src, "2-form")
 
     a_new = forms.solve_poisson(scalar_src)
     b_new = forms.project_closed(forms.solve_poisson(two_src))
@@ -240,13 +233,13 @@ def _iterate(gauge_pair: GaugePair, start: PairState, tol: float,
              max_iter: int):
     """Run the fixed-point loop; returns (state, norms, diffs, ratios)."""
     state = start
-    norms = [state_norm(state)]
+    norms = [state_norm(state.a, state.b)]
     diffs = []
     ratios = []
     hot = 0
     for _ in range(max_iter):
         new = picard_step(state, gauge_pair)
-        diff = state_norm(new - state)
+        diff = state_norm(new.a - state.a, new.b - state.b)
         if diffs:
             ratio = diff.total / diffs[-1].total if diffs[-1].total > 0 else 0.0
             ratios.append(ratio)
@@ -256,7 +249,7 @@ def _iterate(gauge_pair: GaugePair, start: PairState, tol: float,
                     "outside contraction regime: difference ratio >= 1 for "
                     "three consecutive iterations", [d.total for d in diffs])
         diffs.append(diff)
-        norms.append(state_norm(new))
+        norms.append(state_norm(new.a, new.b))
         state = new
         if diff.total <= tol:
             return state, norms, diffs, ratios
@@ -294,7 +287,7 @@ def solve_pair(omega: MatrixForm, gauge_pair: GaugePair, tol: float = 1e-8,
     if probe_seed is not None:
         start = random_state(grid, m, np.random.default_rng(probe_seed))
         other, _, _, _ = _iterate(gauge_pair, start, tol, max_iter)
-        uniqueness_gap = state_norm(other - state).total
+        uniqueness_gap = state_norm(other.a - state.a, other.b - state.b).total
         if uniqueness_gap > 10 * tol:
             raise SolverError(
                 f"uniqueness probe failed: fixed points differ by {uniqueness_gap:.3e} "
@@ -339,8 +332,8 @@ def measure_contraction(gauge_pair: GaugePair, rng: np.random.Generator,
     for _ in range(samples):
         s1 = random_state(grid, m, rng)
         s2 = random_state(grid, m, rng)
-        gap = state_norm(s1 - s2).total
-        image_gap = state_norm(picard_step(s1, gauge_pair)
-                               - picard_step(s2, gauge_pair)).total
+        gap = state_norm(s1.a - s2.a, s1.b - s2.b).total
+        t1, t2 = picard_step(s1, gauge_pair), picard_step(s2, gauge_pair)
+        image_gap = state_norm(t1.a - t2.a, t1.b - t2.b).total
         worst = max(worst, image_gap / gap)
     return worst

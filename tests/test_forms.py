@@ -390,6 +390,15 @@ class TestNormsAndParts:
         skew = synth.random_matrix_form(g, 1, 3, rng, kmax=2, antisymmetric=True)
         assert skew.antisymmetry_defect() == 0.0
 
+    def test_value_transpose_commutes_with_d(self, rng):
+        # d acts per matrix entry, so d(P^T) is dP with its values transposed.
+        g = Grid(3, 8)
+        s = synth.random_matrix_form(g, 0, 3, rng, kmax=2, antisymmetric=True)
+        p = MatrixForm(g, 0, gauge.so_exp(s.coeffs[0])[None])
+        direct = exterior_derivative(value_transpose(p))
+        assert np.abs(value_transpose(exterior_derivative(p)).coeffs
+                      - direct.coeffs).max() <= 1e-14
+
 
 # Reference: the per-axis complex-FFT calculus the real-FFT kernel replaced.
 # Every derivative is a 1-D fft/ifft pair over the full spectrum; symbols are

@@ -124,6 +124,27 @@ class TestMinimize:
         diff = np.sqrt(((gauged_r - expected) ** 2).sum() * grid.cell)
         assert diff <= 1e-6
 
+    def test_each_rotation_gauged_once(self, monkeypatch):
+        # One gauged connection for the start and one per trial rotation: the
+        # accepted trial's connection is carried, not recomputed.
+        grid = Grid(3, 16)
+        omega = synth.synthetic_connection(grid, 3, np.random.default_rng(12), kmax=2,
+                                           exact_frac=0.5, target_norm=0.05)
+        counts = {"gauged": 0, "so_exp": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(gauge, "_gauged_connection",
+                            counting("gauged", gauge._gauged_connection))
+        monkeypatch.setattr(gauge, "so_exp", counting("so_exp", gauge.so_exp))
+        pair = gauge.minimize_gauge(omega)
+        assert pair.diagnostics.iterations > 0
+        assert counts["gauged"] == 1 + counts["so_exp"]
+
     def test_iteration_cap_raises_with_trace(self):
         grid = Grid(3, 16)
         rng = np.random.default_rng(12)
