@@ -9,7 +9,6 @@ resolution and shrink at first order or better.
 
 Usage:
     python scripts/refinement_study.py --out runs/refinement
-    GAUGEFLOW_THREADS=3 python scripts/refinement_study.py --ladder 16 32 64
 """
 
 import argparse

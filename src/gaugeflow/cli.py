@@ -25,9 +25,6 @@ CSV columns (fixed order; new columns append only):
 
 plot data (two columns, space separated, '#' header):
   plot_iteration_vs_kappa.dat, plot_h_vs_residual.dat
-
-environment:
-  GAUGEFLOW_THREADS  thread count for study resolutions (default: all cores)
 """
 
 

@@ -80,8 +80,10 @@ class RunConfig:
         for name in ("gauge_max_iter", "solver_max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.delta < 0 or self.flow_steps < 0 or self.omega_kmax < 1:
-            raise ValueError("delta, flow_steps, and omega kmax must be nonnegative")
+        if self.delta < 0 or self.flow_steps < 0:
+            raise ValueError("delta and flow_steps must be nonnegative")
+        if self.omega_kmax < 1:
+            raise ValueError(f"omega kmax must be >= 1, got {self.omega_kmax}")
         if not 1 <= self.kmin <= self.kmax:
             raise ValueError(f"need 1 <= kmin <= kmax, got {self.kmin}..{self.kmax}")
         if not 0.0 <= self.exact_frac <= 1.0:

@@ -40,7 +40,7 @@ REPROJECT_TOL = 1e-12
 
 
 class GaugeConvergenceError(RuntimeError):
-    """Descent hit the iteration cap; carries the (energy, residual) trace."""
+    """Descent stalled or hit the cap; carries the (energy, residual) trace."""
 
     def __init__(self, message: str, trace):
         super().__init__(message)

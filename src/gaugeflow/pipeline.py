@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -77,35 +76,27 @@ class _Context:
     def __init__(self, cfg: RunConfig, res: int | None = None):
         self.cfg = cfg
         self.res = res or cfg.res
-        self._cache = {}
 
-    def _get(self, name, build):
-        if name not in self._cache:
-            self._cache[name] = build()
-        return self._cache[name]
-
-    @property
+    @functools.cached_property
     def map(self):
-        return self._get("map", lambda: _build_map(self.cfg, self.res))
+        return _build_map(self.cfg, self.res)
 
-    @property
+    @functools.cached_property
     def omega(self) -> MatrixForm:
-        return self._get("omega",
-                         lambda: _build_omega(self.cfg, self.res, self.map))
+        return _build_omega(self.cfg, self.res, self.map)
 
-    @property
+    @functools.cached_property
     def pair(self) -> gauge.GaugePair:
-        return self._get("pair", lambda: gauge.coulomb_gauge(
-            self.omega, tol=self.cfg.gauge_tol,
-            max_iter=self.cfg.gauge_max_iter))
+        return gauge.coulomb_gauge(self.omega, tol=self.cfg.gauge_tol,
+                                   max_iter=self.cfg.gauge_max_iter)
 
-    @property
+    @functools.cached_property
     def solved(self) -> tuple:
-        return self._get("solved", lambda: solver.solve_pair(
+        return solver.solve_pair(
             self.omega, self.pair, tol=self.cfg.solver_tol,
             max_iter=self.cfg.solver_max_iter,
             regime_limit=self.cfg.regime_limit,
-            probe_seed=self.cfg.probe_seed))
+            probe_seed=self.cfg.probe_seed)
 
     def budget_components(self) -> tuple:
         _, _, report = self.solved
@@ -232,19 +223,6 @@ def _stage_verify(ctx: _Context, out: Path):
     _write_csv(out / "verify.csv", ("metric", "value"), rows)
 
 
-def _study_workers() -> int:
-    raw = os.environ.get("GAUGEFLOW_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"GAUGEFLOW_THREADS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise ValueError(f"GAUGEFLOW_THREADS must be >= 1, got {workers}")
-    return workers
-
-
 def _stage_study(ctx: _Context, out: Path):
     cfg = ctx.cfg
     collected = {}
@@ -254,13 +232,7 @@ def _stage_study(ctx: _Context, out: Path):
         collected[res] = report
         return report
 
-    workers = _study_workers()
-    if workers == 1:
-        report = verify.convergence_study(evaluate, cfg.resolutions)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            report = verify.convergence_study(
-                evaluate, cfg.resolutions, mapper=pool.map)
+    report = verify.convergence_study(evaluate, cfg.resolutions)
     rows = [(res, 1.0 / res, collected[res].l2, collected[res].sup,
              collected[res].budget, report.order)
             for res in cfg.resolutions]

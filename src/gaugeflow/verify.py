@@ -188,11 +188,12 @@ def bound_ratios(A: MatrixForm, B: MatrixForm, omega: MatrixForm) -> BoundTable:
                       omega_n2, ratio)
 
 
-def convergence_study(evaluate, resolutions, mapper=map) -> ResidualReport:
+def convergence_study(evaluate, resolutions) -> ResidualReport:
     """Measured order of a residual across a doubling resolution ladder.
 
     evaluate(res) must return a ResidualReport computed on the same
-    underlying data prolonged to the given resolution.  The slope of
+    underlying data prolonged to the given resolution; it is called once
+    per resolution, in ladder order, on the calling thread.  The slope of
     log2(l2) against log2(h) is the reported order; ladders entirely at
     the rounding floor report "floor" instead of a meaningless fit.
     """
@@ -203,7 +204,7 @@ def convergence_study(evaluate, resolutions, mapper=map) -> ResidualReport:
         if fine != 2 * coarse:
             raise ValueError(
                 f"resolution ladder must double: got {coarse} -> {fine}")
-    reports = list(mapper(evaluate, resolutions))
+    reports = [evaluate(res) for res in resolutions]
     l2s = [report.l2 for report in reports]
     if max(l2s) <= FLOOR:
         order: float | str = "floor"

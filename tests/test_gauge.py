@@ -157,6 +157,19 @@ class TestMinimize:
         energies = [t[0] for t in trace]
         assert all(b < a for a, b in zip(energies, energies[1:]))
 
+    def test_stall_raises_with_trace(self):
+        # At res 8 this non-coexact connection leaves a criticality above tol
+        # that no Armijo step can lower: backtracking exhausts tau.
+        omega = synth.synthetic_connection(Grid(3, 8), 3, np.random.default_rng(5),
+                                           kmax=2, exact_frac=0.5, target_norm=0.3)
+        with pytest.raises(gauge.GaugeConvergenceError, match="stalled") as info:
+            gauge.minimize_gauge(omega, tol=1e-5)
+        trace = info.value.trace
+        assert len(trace) > 1
+        energies = [t[0] for t in trace]
+        assert all(b <= a for a, b in zip(energies, energies[1:]))
+        assert trace[-1][1] > 1e-5
+
     def test_plain_descent_agrees_with_preconditioned(self):
         grid = Grid(2, 16)
         rng = np.random.default_rng(2)

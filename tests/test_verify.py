@@ -206,18 +206,6 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="must double"):
             verify.convergence_study(fake, [16, 24, 48])
 
-    def test_custom_mapper_is_used(self):
-        calls = []
-
-        def mapper(fn, items):
-            calls.append(tuple(items))
-            return [fn(item) for item in items]
-
-        fake = lambda res: verify.ResidualReport(l2=1.0 / res, sup=0.0)
-        report = verify.convergence_study(fake, [8, 16, 32], mapper=mapper)
-        assert calls == [(8, 16, 32)]
-        assert report.order == pytest.approx(1.0, abs=1e-12)
-
     def test_geodesic_sphere_ladder_sits_at_floor(self):
         def evaluate(res):
             return verify.sphere_divergence_residual(
