@@ -4,14 +4,21 @@ Fields live on a uniform grid over [0, 1)^n with 2 <= n <= 4.  All calculus
 (exterior derivative, codifferential, Hodge star, Poisson solves) is spectral:
 derivatives act on the trigonometric interpolant, so the structural identities
 d(d(omega)) = 0, <d a, b> = <a, d* b>, and the Hodge projections hold to
-rounding instead of to a discretization order.  Each operator is one real FFT
-per input, a half-spectrum symbol and one inverse per result; the Nyquist bin
-is zeroed on every axis, so derivatives stay real and exactly skew-adjoint.
+rounding instead of to a discretization order.  The Nyquist bin is zeroed on
+every axis, so derivatives stay real and exactly skew-adjoint.
+
+A first derivative along one axis is one real matmul by the cached res x res
+differentiation matrix, the circulant form of that spectral derivative; it is
+bitwise skew, and constants stay exactly flat.  The operators whose symbol does
+not separate by axis (Laplacian, Poisson solve, harmonic part) take one real
+FFT per input, a half-spectrum symbol and one inverse per result.  Both paths
+are deterministic, so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,8 +83,8 @@ class Grid:
 @lru_cache(maxsize=None)
 def _wavenumbers(n: int, res: int) -> tuple:
     # 2 pi k per axis over the half spectrum (res, ..., res // 2 + 1) that _rfft
-    # puts last.  The Nyquist bin is zeroed on every axis, the halved one too:
-    # the +-res/2 pair is stored once, so its derivative cannot stay real.
+    # puts last.  The Nyquist bin is zeroed on every axis, the halved one too,
+    # as the differentiation matrix zeroes it, so the symbols agree with d.
     k = 2.0 * np.pi * np.fft.fftfreq(res, d=1.0 / res)
     k[res // 2] = 0.0
     k.setflags(write=False)
@@ -100,11 +107,33 @@ def _irfft(spec: np.ndarray, first: int, n: int, res: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(out, spatial, tuple(range(first, first + n))))
 
 
+@lru_cache(maxsize=None)
+def _derivative_matrix(res: int) -> np.ndarray:
+    # D_jk = pi (-1)^(j-k) cot(pi (j-k) / res), the spectral derivative with
+    # the Nyquist bin zeroed as a real circulant (Trefethen, Spectral Methods
+    # in MATLAB, ch. 3).  Offset res - d holds the exact negative of offset d
+    # and offsets 0 and res/2 hold 0.0, so D == -D.T bit for bit.
+    d = np.arange(1, res // 2)
+    column = np.zeros(res)
+    column[d] = np.pi * (-1.0) ** d / np.tan(np.pi * d / res)
+    column[res - d] = -column[d]
+    mat = column[np.subtract.outer(np.arange(res), np.arange(res)) % res]
+    mat.setflags(write=False)
+    return mat
+
+
+def _spectral_axis_derivative(arr: np.ndarray, axis: int, res: int) -> np.ndarray:
+    """d/dx_axis of arr: one batched matmul by the differentiation matrix."""
+    lines = arr.reshape(math.prod(arr.shape[:axis]), res, -1)
+    # D's rows sum to zero only up to rounding; differentiating each line
+    # minus its first sample keeps constants exactly flat.
+    return (_derivative_matrix(res) @ (lines - lines[:, :1])).reshape(arr.shape)
+
+
 def _partials(arr: np.ndarray, first: int, n: int, res: int):
-    """The n spatial partials of arr, one at a time, from one forward transform."""
-    spec = _rfft(arr, first, n)
-    for k in _wavenumbers(n, res):
-        yield _irfft(1j * k * spec, first, n, res)
+    """The n spatial partials of arr, one at a time."""
+    for axis in range(first, first + n):
+        yield _spectral_axis_derivative(arr, axis, res)
 
 
 @lru_cache(maxsize=None)
@@ -230,10 +259,6 @@ class VectorForm(_Algebra):
         return cls(grid, k, np.zeros(shape))
 
 
-def _spectral_axis_derivative(arr: np.ndarray, axis: int, res: int) -> np.ndarray:
-    return next(_partials(arr, axis, 1, res))
-
-
 def partial_derivative(form, axis: int):
     """Spectral d/dx_axis applied to every coefficient."""
     out = _spectral_axis_derivative(form.coeffs, 1 + axis, form.grid.res)
@@ -260,12 +285,11 @@ def exterior_derivative(form):
     if form.k >= form.grid.n:
         raise ValueError("top-degree form")
     n, res = form.grid.n, form.grid.res
-    spec = _rfft(form.coeffs, 1, n)
-    ks = _wavenumbers(n, res)
-    out = np.zeros((len(components(n, form.k + 1)),) + spec.shape[1:], dtype=complex)
+    out = np.zeros((len(components(n, form.k + 1)),) + form.coeffs.shape[1:])
+    # each (component, axis) pair enters once, so no partial is taken twice
     for ia, axis, io, sign in _deriv_table(n, form.k):
-        out[io] += (1j * sign * ks[axis]) * spec[ia]
-    return form._like(_irfft(out, 1, n, res), form.k + 1)
+        out[io] += sign * _spectral_axis_derivative(form.coeffs[ia], axis, res)
+    return form._like(out, form.k + 1)
 
 
 @lru_cache(maxsize=None)

@@ -77,13 +77,21 @@ class GaugePair:
 def so_exp(skew: np.ndarray) -> np.ndarray:
     """Pointwise matrix exponential of skew-symmetric matrices.
 
-    Diagonalizes 1j * S, which is Hermitian, so the exponential is exactly
-    orthogonal up to rounding for every input.
+    For m <= 3 a skew S turns one plane by theta, with theta^2 = |S|_F^2 / 2,
+    so Rodrigues' formula I + sinc(theta) S + sinc(theta/2)^2 S^2 / 2 is exact
+    (sinc(x) = sin(x)/x, exact at theta = 0).  Larger m diagonalizes 1j * S,
+    which is Hermitian.  Either way the result is orthogonal up to rounding.
     """
-    w, v = np.linalg.eigh(1j * np.asarray(skew))
-    phase = np.exp(-1j * w)
-    out = (v * phase[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-    return np.ascontiguousarray(out.real)
+    skew = np.asarray(skew)
+    m = skew.shape[-1]
+    if m >= 4:
+        w, v = np.linalg.eigh(1j * skew)
+        phase = np.exp(-1j * w)
+        out = (v * phase[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+        return np.ascontiguousarray(out.real)
+    theta = np.sqrt(0.5 * (skew ** 2).sum(axis=(-1, -2)))[..., None, None]
+    half = np.sinc(theta / (2.0 * np.pi))
+    return np.eye(m) + np.sinc(theta / np.pi) * skew + 0.5 * half ** 2 * (skew @ skew)
 
 
 def _orthogonality_defect(pointwise: np.ndarray) -> float:
@@ -175,7 +183,8 @@ def minimize_gauge(omega: MatrixForm, tol: float | None = None,
                 candidate = _polar_project(candidate)
             trial = _gauged_connection(candidate, omega)
             trial_energy = float((trial ** 2).sum()) * grid.cell
-            if trial_energy <= energy + 1e-4 * tau * slope:
+            # strict decrease too: an exact no-op step would otherwise tie
+            if trial_energy < energy and trial_energy <= energy + 1e-4 * tau * slope:
                 break
             tau *= 0.5
             if tau < 1e-30:

@@ -206,13 +206,16 @@ def _verify_rows(ctx: _Context, residual, bounds) -> list:
 
 
 def _stage_verify(ctx: _Context, out: Path):
-    A, B, _ = ctx.solved
+    _, _, report = ctx.solved
     residual = ctx.residual_report()
     if residual.l2 > BUDGET_FACTOR * max(residual.budget, ctx.cfg.solver_tol):
         raise ValueError(
             f"conservation residual {residual.l2:.3e} exceeds the defect "
             f"budget {residual.budget:.3e} (factor {BUDGET_FACTOR})")
-    bounds = verify.bound_ratios(A, B, ctx.omega)
+    # the solver already measured every size of the existence estimate
+    bounds = verify.BoundTable.from_sizes(
+        report.rotation_distance_sup, report.negdet_points, report.da_n1,
+        report.db_n2, report.omega_n2)
     if bounds.negdet_points:
         raise ValueError(
             f"{bounds.negdet_points} points have a non-positive determinant")

@@ -224,6 +224,8 @@ class SolveReport:
     da_n1: float
     db_n2: float
     rotation_distance_sup: float
+    negdet_points: int
+    omega_n2: float
     harmonic_budget: float
     uniqueness_gap: float | None
     couplings_version: str
@@ -316,6 +318,8 @@ def solve_pair(omega: MatrixForm, gauge_pair: GaugePair, tol: float = 1e-8,
         da_n1=lorentz.lorentz_norm(forms.exterior_derivative(A), float(grid.n), 1.0),
         db_n2=gradient_norm(B, 2.0),
         rotation_distance_sup=float(dist.max()) if not negdet.any() else float("nan"),
+        negdet_points=int(negdet.sum()),
+        omega_n2=size,
         harmonic_budget=gauge_pair.diagnostics.harmonic or 0.0,
         uniqueness_gap=uniqueness_gap,
         couplings_version=COUPLINGS_VERSION,

@@ -62,6 +62,13 @@ class BoundTable:
     omega_n2: float
     ratio: float  # nan when the connection vanishes (undefined at 0/0)
 
+    @classmethod
+    def from_sizes(cls, rotation_distance_sup: float, negdet_points: int,
+                   da_n1: float, db_n2: float, omega_n2: float) -> "BoundTable":
+        numerator = rotation_distance_sup + da_n1 + db_n2
+        ratio = numerator / omega_n2 if omega_n2 > 0 else float("nan")
+        return cls(rotation_distance_sup, negdet_points, da_n1, db_n2, omega_n2, ratio)
+
 
 def _check_pair_against_map(A: MatrixForm, B: MatrixForm, u: MapField):
     if A.k != 0 or B.k != 2:
@@ -171,7 +178,9 @@ def bound_ratios(A: MatrixForm, B: MatrixForm, omega: MatrixForm) -> BoundTable:
     """Sizes in the existence estimate; the ratio measures its constant.
 
     Points with nonpositive determinant make the rotation distance ill
-    posed; they are counted separately and excluded from the sup.
+    posed; they are counted separately and excluded from the sup.  The
+    pipeline takes the same sizes from the solver's report; this is the
+    independent computation from the fields.
     """
     if A.k != 0 or B.k != 2 or omega.k != 1:
         raise ValueError("need a 0-form, a 2-form and a 1-form connection")
@@ -182,10 +191,7 @@ def bound_ratios(A: MatrixForm, B: MatrixForm, omega: MatrixForm) -> BoundTable:
     da_n1 = lorentz.lorentz_norm(forms.exterior_derivative(A), n, 1.0)
     db_n2 = solver.gradient_norm(B, 2.0)
     omega_n2 = lorentz.lorentz_norm(omega, n, 2.0)
-    numerator = rotation_sup + da_n1 + db_n2
-    ratio = numerator / omega_n2 if omega_n2 > 0 else float("nan")
-    return BoundTable(rotation_sup, int(negdet.sum()), da_n1, db_n2,
-                      omega_n2, ratio)
+    return BoundTable.from_sizes(rotation_sup, int(negdet.sum()), da_n1, db_n2, omega_n2)
 
 
 def convergence_study(evaluate, resolutions) -> ResidualReport:

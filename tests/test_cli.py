@@ -1,12 +1,17 @@
 """CLI surface: artifacts, determinism, exit codes, and error reporting."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import pytest
 
-from gaugeflow import cli, fieldio, pipeline, synth
+import gaugeflow
+from gaugeflow import cli, fieldio, pipeline, synth, verify
 
 SYNTHETIC = """\
 [grid]
@@ -21,6 +26,8 @@ seed = 5
 [omega]
 epsilon = 1e-2
 """
+
+CONTRACTING = ["--set", "omega.epsilon=0.3", "--set", "omega.exact_frac=0.5"]
 
 HEATFLOW = """\
 [grid]
@@ -98,6 +105,19 @@ class TestCommands:
         assert doc["residual"]["l2"] == 0.0
         assert doc["bounds"]["da_n1"] == 0.0
 
+    def test_bounds_match_the_independent_computation(self, synthetic_ini, tmp_path):
+        # verify.json takes the bound sizes from the solver's report;
+        # verify.bound_ratios recomputes them from the written fields.
+        out = tmp_path / "run"
+        assert cli.main(["verify", "--config", str(synthetic_ini), *CONTRACTING,
+                         "--out", str(out)]) == 0
+        doc = json.loads((out / "verify.json").read_text())
+        table = verify.bound_ratios(fieldio.read_field(out / "a_field.f64"),
+                                    fieldio.read_field(out / "b_field.f64"),
+                                    fieldio.read_field(out / "omega.f64"))
+        assert doc["bounds"] == dataclasses.asdict(table)
+        assert table.negdet_points == 0 and table.ratio > 0.0
+
     def test_generate_reports_tension(self, heatflow_ini, tmp_path):
         out = tmp_path / "gen"
         assert cli.main(["generate", "--config", str(heatflow_ini),
@@ -116,6 +136,23 @@ class TestDeterminism:
             assert cli.main(["verify", "--config", str(heatflow_ini),
                              "--out", str(out)]) == 0
         assert tree_bytes(first) == tree_bytes(second)
+
+    def test_blas_thread_count_leaves_artifacts_unchanged(self, synthetic_ini, tmp_path):
+        # Derivatives are BLAS matmuls; the thread count must not reorder sums.
+        src = str(Path(gaugeflow.__file__).resolve().parents[1])
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "gaugeflow.cli", "verify", "--config",
+                 str(synthetic_ini), *CONTRACTING, "--out", str(out)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1]
 
     def test_study_reruns_are_byte_identical(self, heatflow_ini, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"

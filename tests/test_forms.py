@@ -464,13 +464,14 @@ def _random_form(grid, k, values, rng):
 
 
 class TestRealKernelOracle:
-    """The real-FFT kernel against the complex per-axis algorithm it replaced."""
+    """The real kernel against the complex per-axis algorithm it replaced."""
 
     @pytest.mark.parametrize("values", ["matrix", "vector"])
-    @pytest.mark.parametrize("res", [8, 10])
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n, res", [(2, 8), (2, 10), (3, 8), (3, 10), (4, 8), (4, 10),
+                                        (2, 32), (3, 32)])
     def test_matches_complex_reference(self, n, res, values):
-        # res 10 leaves an odd number (4) of interior bins on the halved axis
+        # res 10 leaves an odd number (4) of interior bins on the halved axis;
+        # res 32 grows the differentiation matrix's entries to about res
         grid = Grid(n, res)
         rng = np.random.default_rng(100 * n + res)
         for k in range(n + 1):
@@ -483,7 +484,7 @@ class TestRealKernelOracle:
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    @pytest.mark.parametrize("res", [8, 10])
+    @pytest.mark.parametrize("res", [8, 10, 32])
     def test_single_axis_derivative(self, res):
         grid = Grid(3, res)
         arr = np.random.default_rng(res).standard_normal(grid.shape + (2,))
@@ -491,6 +492,25 @@ class TestRealKernelOracle:
             want = _ref_axis_derivative(arr, axis, res)
             got = forms._spectral_axis_derivative(arr, axis, res)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestDifferentiationMatrix:
+    """The circulant spectral derivative is skew and kills constants exactly."""
+
+    @pytest.mark.parametrize("res", [8, 10, 32, 64])
+    def test_bitwise_skew(self, res):
+        mat = forms._derivative_matrix(res)
+        assert mat.shape == (res, res)
+        assert np.array_equal(mat, -mat.T)
+
+    @pytest.mark.parametrize("res", [8, 10, 32])
+    def test_constant_field_is_exactly_flat(self, res):
+        grid = Grid(3, res)
+        value = np.random.default_rng(res).standard_normal((3, 3))
+        const = MatrixForm(grid, 0, np.broadcast_to(value, (1,) + grid.shape + (3, 3)).copy())
+        assert np.all(exterior_derivative(const).coeffs == 0.0)
+        for axis in range(3):
+            assert np.all(forms._spectral_axis_derivative(const.coeffs, 1 + axis, res) == 0.0)
 
 
 class TestNyquistModes:
@@ -542,7 +562,8 @@ def _count(calls, names, modules=None):
 
 
 class TestTransformCount:
-    """One forward real transform per input, one inverse per result, none complex."""
+    """Derivatives take no transform; each symbol operator takes one forward
+    real transform per input and one inverse per result; none is complex."""
 
     @pytest.mark.parametrize("op", ["exterior_derivative", "laplacian", "solve_poisson",
                                     "gradient_norm"])
@@ -553,9 +574,10 @@ class TestTransformCount:
             solver.gradient_norm(form, 2.0)
         else:
             getattr(forms, op)(form)
-        assert _count(fft_calls, REAL_FORWARD) == 1
-        # the gradient norm inverts each of the n = 3 partials on its own
-        assert _count(fft_calls, REAL_INVERSE) == (3 if op == "gradient_norm" else 1)
+        # first derivatives are matmuls by the differentiation matrix
+        expected = 0 if op in ("exterior_derivative", "gradient_norm") else 1
+        assert _count(fft_calls, REAL_FORWARD) == expected
+        assert _count(fft_calls, REAL_INVERSE) == expected
         assert _count(fft_calls, COMPLEX_TRANSFORMS) == 0
 
     def test_pipeline_issues_no_complex_transform(self, fft_calls):

@@ -49,6 +49,19 @@ class TestSoExp:
         prod = gauge.so_exp(s) @ gauge.so_exp(-s)
         assert np.abs(prod - np.eye(4)).max() <= 1e-13
 
+    @pytest.mark.parametrize("theta", [0.0, 1e-9, 0.3, 3.0])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_closed_form_matches_eigh(self, m, theta):
+        # Rodrigues for m <= 3 against the Hermitian diagonalization of 1j * S,
+        # on skew matrices turning by exactly theta.
+        s = random_skew(np.random.default_rng(m), (6,), m)
+        s *= theta / np.sqrt(0.5 * (s ** 2).sum(axis=(-1, -2)))[:, None, None]
+        w, v = np.linalg.eigh(1j * s)
+        want = ((v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)).real
+        got = gauge.so_exp(s)
+        assert np.abs(got - want).max() <= 1e-14
+        assert np.abs(np.swapaxes(got, -1, -2) @ got - np.eye(m)).max() <= 1e-14
+
 
 class TestGaugeEnergy:
     def test_identity_rotation_returns_l2_squared(self, rng):
