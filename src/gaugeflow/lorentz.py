@@ -10,26 +10,12 @@ the closed-form value (p/q)^(1/q) a^(1/p) up to the cell quantization of a.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import forms
 
-__all__ = ["RearrangementProfile", "rearrange", "lorentz_norm"]
-
-
-@dataclass(frozen=True)
-class RearrangementProfile:
-    """Nonincreasing magnitudes with their cumulative measures."""
-
-    values: np.ndarray  # sorted nonincreasing
-    cum: np.ndarray  # cell, 2*cell, ..., total volume
-    weight: float  # measure of one cell
-
-    def __post_init__(self):
-        for arr in (self.values, self.cum):
-            arr.setflags(write=False)
+__all__ = ["lorentz_norm"]
 
 
 def _magnitudes(field) -> tuple:
@@ -41,27 +27,22 @@ def _magnitudes(field) -> tuple:
     return np.abs(arr).ravel(), 1.0 / arr.size
 
 
-def rearrange(field) -> RearrangementProfile:
-    """Decreasing rearrangement of the pointwise magnitude of a field."""
-    vals, cell = _magnitudes(field)
-    vals = np.sort(vals)[::-1].copy()
-    cum = np.arange(1, vals.size + 1, dtype=float) * cell
-    return RearrangementProfile(vals, cum, cell)
-
-
 def lorentz_norm(field, p: float, q: float) -> float:
     """Discrete L^{p,q} norm, exact on the step-function rearrangement.
 
-    For finite q this is ((p/q) sum v_i^q (t_i^{q/p} - t_{i-1}^{q/p}))^{1/q};
-    for q = inf it is sup_i t_i^{1/p} v_i.
+    The magnitudes v_i are sorted nonincreasingly and sample i covers the
+    measures up to t_i = i * cell.  For finite q this is
+    ((p/q) sum v_i^q (t_i^{q/p} - t_{i-1}^{q/p}))^{1/q}; for q = inf it is
+    sup_i t_i^{1/p} v_i.
     """
     if not p > 1:
         raise ValueError(f"Lorentz index p must exceed 1, got {p}")
     if not q >= 1:
         raise ValueError(f"Lorentz index q must be >= 1, got {q}")
-    prof = rearrange(field)
+    vals, cell = _magnitudes(field)
+    vals = np.sort(vals)[::-1]
+    cum = np.arange(1, vals.size + 1, dtype=float) * cell
     if math.isinf(q):
-        return float(np.max(prof.cum ** (1.0 / p) * prof.values, initial=0.0))
-    tq = prof.cum ** (q / p)
-    steps = np.diff(tq, prepend=0.0)
-    return float((p / q * np.sum(prof.values ** q * steps)) ** (1.0 / q))
+        return float(np.max(cum ** (1.0 / p) * vals, initial=0.0))
+    steps = np.diff(cum ** (q / p), prepend=0.0)
+    return float((p / q * np.sum(vals ** q * steps)) ** (1.0 / q))

@@ -86,6 +86,10 @@ class _Context:
         return _build_omega(self.cfg, self.res, self.map)
 
     @functools.cached_property
+    def tension(self) -> float:
+        return maps.tension_residual(self.map)
+
+    @functools.cached_property
     def pair(self) -> gauge.GaugePair:
         return gauge.coulomb_gauge(self.omega, tol=self.cfg.gauge_tol,
                                    max_iter=self.cfg.gauge_max_iter)
@@ -104,7 +108,7 @@ class _Context:
                  ("representation", self.pair.diagnostics.representation or 0.0),
                  ("tolerance", self.cfg.solver_tol)]
         if self.map is not None:
-            parts.insert(0, ("tension", maps.tension_residual(self.map)))
+            parts.insert(0, ("tension", self.tension))
         return tuple(parts)
 
     def residual_report(self) -> verify.ResidualReport:
@@ -147,7 +151,7 @@ def _stage_generate(ctx: _Context, out: Path):
         raise ValueError("synthetic_omega configurations have no map to generate")
     fieldio.write_field(out / "map.f64", ctx.map)
     body = {"map_kind": cfg.map_kind,
-            "tension": maps.tension_residual(ctx.map),
+            "tension": ctx.tension,
             "dirichlet_energy": maps.dirichlet_energy(ctx.map)}
     if cfg.map_kind == "heatflow":
         tau, steps = _flow_plan(cfg, ctx.res)

@@ -32,6 +32,7 @@ __all__ = [
     "state_norm",
     "gradient_norm",
     "random_state",
+    "PicardMap",
     "picard_step",
     "solve_pair",
     "measure_contraction",
@@ -160,7 +161,28 @@ def _check_source_mean(src: MatrixForm, label: str) -> None:
         raise RuntimeError(f"exactness identity broken: {label} source mean {defect:.3e}")
 
 
-def picard_step(state: PairState, gauge_pair: GaugePair) -> PairState:
+@dataclass(frozen=True, eq=False)
+class PicardMap:
+    """Gauge coefficients of the affine map: P^T (a view), dP and d(star xi).
+
+    dP^T is not held: each step copies it out of dP, while a held copy would
+    stay alive through the whole solve and raise its peak memory.
+    """
+
+    pt: np.ndarray
+    dp: MatrixForm
+    d_star_xi: MatrixForm
+
+    @classmethod
+    def of(cls, gauge_pair: GaugePair) -> "PicardMap":
+        if gauge_pair.xi is None:
+            raise ValueError("gauge pair is incomplete: extract the potential first")
+        return cls(np.swapaxes(gauge_pair.P.coeffs[0], -1, -2),
+                   forms.exterior_derivative(gauge_pair.P),
+                   forms.exterior_derivative(forms.hodge_star(gauge_pair.xi)))
+
+
+def picard_step(state: PairState, pmap: PicardMap) -> PairState:
     """One application of the affine fixed-point map.
 
     Both Poisson sources are divergences of periodic quantities, so their
@@ -168,25 +190,19 @@ def picard_step(state: PairState, gauge_pair: GaugePair) -> PairState:
     (relative above unit source size) indicates a broken coupling and
     raises rather than silently shifting the solution.
     """
-    if gauge_pair.xi is None:
-        raise ValueError("gauge pair is incomplete: extract the potential first")
     grid = state.a.grid
-    pt = np.swapaxes(gauge_pair.P.coeffs[0], -1, -2)
-
     da = forms.exterior_derivative(state.a)
-    d_star_xi = forms.exterior_derivative(forms.hodge_star(gauge_pair.xi))
     d_star_b = forms.exterior_derivative(forms.hodge_star(state.b))
-    dp = forms.exterior_derivative(gauge_pair.P)
 
     scalar_src = (SCALAR_GRADIENT_COUPLING
-                  * forms.hodge_star(forms.wedge(da, d_star_xi))
+                  * forms.hodge_star(forms.wedge(da, pmap.d_star_xi))
                   + second_sign(grid.n)
-                  * forms.hodge_star(forms.wedge(d_star_b, dp)))
+                  * forms.hodge_star(forms.wedge(d_star_b, pmap.dp)))
     _check_source_mean(scalar_src, "0-form")
 
     a_tilde = state.a.coeffs[0] + np.eye(state.a.m)
-    transported = _rmul(_lmul(a_tilde, d_star_xi), pt)
-    two_src = (TWO_FORM_JACOBIAN_COUPLING * forms.wedge(da, forms.value_transpose(dp))
+    transported = _rmul(_lmul(a_tilde, pmap.d_star_xi), pmap.pt)
+    two_src = (TWO_FORM_JACOBIAN_COUPLING * forms.wedge(da, forms.value_transpose(pmap.dp))
                + TWO_FORM_TRANSPORT_COUPLING
                * forms.hodge_star(forms.codifferential(transported)))
     _check_source_mean(two_src, "2-form")
@@ -205,11 +221,10 @@ def pair_residual(A: MatrixForm, B: MatrixForm, omega: MatrixForm):
     return forms.l2_norm(r), float(forms.pointwise_norm(r).max())
 
 
-def _assemble(state: PairState, gauge_pair: GaugePair) -> MatrixForm:
+def _assemble(state: PairState, pmap: PicardMap) -> MatrixForm:
     """A = (id + a) P^T."""
     a_tilde = state.a.coeffs[0] + np.eye(state.a.m)
-    pt = np.swapaxes(gauge_pair.P.coeffs[0], -1, -2)
-    return MatrixForm(state.a.grid, 0, (a_tilde @ pt)[None])
+    return MatrixForm(state.a.grid, 0, (a_tilde @ pmap.pt)[None])
 
 
 @dataclass(frozen=True)
@@ -231,8 +246,7 @@ class SolveReport:
     couplings_version: str
 
 
-def _iterate(gauge_pair: GaugePair, start: PairState, tol: float,
-             max_iter: int):
+def _iterate(pmap: PicardMap, start: PairState, tol: float, max_iter: int):
     """Run the fixed-point loop; returns (state, norms, diffs, ratios)."""
     state = start
     norms = [state_norm(state.a, state.b)]
@@ -240,7 +254,7 @@ def _iterate(gauge_pair: GaugePair, start: PairState, tol: float,
     ratios = []
     hot = 0
     for _ in range(max_iter):
-        new = picard_step(state, gauge_pair)
+        new = picard_step(state, pmap)
         diff = state_norm(new.a - state.a, new.b - state.b)
         if diffs:
             ratio = diff.total / diffs[-1].total if diffs[-1].total > 0 else 0.0
@@ -274,8 +288,7 @@ def solve_pair(omega: MatrixForm, gauge_pair: GaugePair, tol: float = 1e-8,
     the same fixed point within 10 tol (the uniqueness of the pair is part
     of what the construction claims).
     """
-    if gauge_pair.xi is None:
-        raise ValueError("gauge pair is incomplete: extract the potential first")
+    pmap = PicardMap.of(gauge_pair)
     grid, m = omega.grid, omega.m
     size = lorentz.lorentz_norm(omega, float(grid.n), 2.0)
     if size >= regime_limit * (1.0 - REGIME_RTOL):
@@ -283,19 +296,19 @@ def solve_pair(omega: MatrixForm, gauge_pair: GaugePair, tol: float = 1e-8,
             f"outside contraction regime: ||omega|| = {size:.3e} >= {regime_limit:.3e}", [])
 
     state, norms, diffs, ratios = _iterate(
-        gauge_pair, PairState.zeros(grid, m), tol, max_iter)
+        pmap, PairState.zeros(grid, m), tol, max_iter)
 
     uniqueness_gap = None
     if probe_seed is not None:
         start = random_state(grid, m, np.random.default_rng(probe_seed))
-        other, _, _, _ = _iterate(gauge_pair, start, tol, max_iter)
+        other, _, _, _ = _iterate(pmap, start, tol, max_iter)
         uniqueness_gap = state_norm(other.a - state.a, other.b - state.b).total
         if uniqueness_gap > 10 * tol:
             raise SolverError(
                 f"uniqueness probe failed: fixed points differ by {uniqueness_gap:.3e} "
                 f"> {10 * tol:.3e}", [d.total for d in diffs])
 
-    A = _assemble(state, gauge_pair)
+    A = _assemble(state, pmap)
     B = state.b
 
     sup_a = forms.sup_norm(state.a)
@@ -332,12 +345,13 @@ def measure_contraction(gauge_pair: GaugePair, rng: np.random.Generator,
     """Largest measured ratio of the map over random unit-norm state pairs."""
     grid = gauge_pair.P.grid
     m = gauge_pair.P.m
+    pmap = PicardMap.of(gauge_pair)
     worst = 0.0
     for _ in range(samples):
         s1 = random_state(grid, m, rng)
         s2 = random_state(grid, m, rng)
         gap = state_norm(s1.a - s2.a, s1.b - s2.b).total
-        t1, t2 = picard_step(s1, gauge_pair), picard_step(s2, gauge_pair)
+        t1, t2 = picard_step(s1, pmap), picard_step(s2, pmap)
         image_gap = state_norm(t1.a - t2.a, t1.b - t2.b).total
         worst = max(worst, image_gap / gap)
     return worst

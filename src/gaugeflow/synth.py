@@ -36,9 +36,9 @@ def band_limited_field(grid: Grid, rng: np.random.Generator, kmax: int,
     """Random real field with modes kmin <= max|kappa| <= kmax, any resolution.
 
     Coefficients are complex Gaussians drawn for every mode of the cube
-    [-kmax, kmax]^n in lexicographic order (draws happen even for skipped
-    modes, keeping the stream aligned across kmin choices is not attempted;
-    fixed kmin/kmax and seed give the same continuum field at every res).
+    [-kmax, kmax]^n in lexicographic order, skipped modes included, so a
+    kept mode gets the same coefficient whatever kmin is; fixed kmin/kmax
+    and seed give the same continuum field at every res.
     """
     if kmin < 1 or kmin > kmax:
         raise ValueError(f"need 1 <= kmin <= kmax, got {kmin}..{kmax}")

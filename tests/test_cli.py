@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gaugeflow
-from gaugeflow import cli, fieldio, pipeline, synth, verify
+from gaugeflow import cli, fieldio, maps, pipeline, synth, verify
 
 SYNTHETIC = """\
 [grid]
@@ -127,6 +127,24 @@ class TestCommands:
         assert doc["flow"]["steps"] >= 1
         u = fieldio.read_field(out / "map.f64")
         assert u.unit_sphere
+
+    def test_verify_measures_the_tension_once(self, heatflow_ini, tmp_path, monkeypatch):
+        # generate.json and the residual budget report the same tension.
+        tension = maps.tension_residual
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return tension(u)
+
+        monkeypatch.setattr(maps, "tension_residual", counted)
+        out = tmp_path / "run"
+        assert cli.main(["verify", "--config", str(heatflow_ini),
+                         "--out", str(out)]) == 0
+        assert len(calls) == 1
+        generated = json.loads((out / "generate.json").read_text())
+        residual = json.loads((out / "verify.json").read_text())["residual"]
+        assert dict(residual["components"])["tension"] == generated["tension"]
 
 
 class TestDeterminism:

@@ -1,4 +1,4 @@
-"""Rearrangement and Lorentz norms against closed-form oracles."""
+"""Lorentz norms against closed-form oracles and rearrangement invariances."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from gaugeflow import synth
 from gaugeflow.forms import Grid, MatrixForm, l2_norm, sup_norm
-from gaugeflow.lorentz import lorentz_norm, rearrange
+from gaugeflow.lorentz import lorentz_norm
 
 
 def indicator(res, measure):
@@ -18,30 +18,24 @@ def indicator(res, measure):
 
 
 class TestRearrange:
-    def test_indicator_profile(self):
-        prof = rearrange(indicator(64, 1 / 8))
-        assert prof.values[0] == 1.0
-        ones = int(round(1 / 8 * 64 * 64))
-        assert np.all(prof.values[:ones] == 1.0)
-        assert np.all(prof.values[ones:] == 0.0)
-        assert prof.cum[ones - 1] == pytest.approx(1 / 8)
-
-    def test_profile_invariants(self, rng):
-        f = synth.random_matrix_form(Grid(2, 16), 1, 2, rng, kmax=3)
-        prof = rearrange(f)
-        assert np.all(np.diff(prof.values) <= 0)
-        assert prof.cum[0] == pytest.approx(f.grid.cell)
-        assert prof.cum[-1] == pytest.approx(1.0)
-        assert np.all(np.diff(prof.cum) > 0)
+    # The norm sees a field only through its decreasing rearrangement, so
+    # moving or flipping samples must not change a single bit.
+    def test_permutation_invariance(self, rng):
+        arr = rng.standard_normal((16, 16))
+        shuffled = rng.permutation(arr.ravel()).reshape(arr.shape)
+        for q in (1.0, 2.0, np.inf):
+            assert lorentz_norm(shuffled, 3.0, q) == lorentz_norm(arr, 3.0, q)
 
     def test_sign_invariance(self, rng):
         arr = rng.standard_normal((16, 16))
-        a, b = rearrange(arr), rearrange(-arr)
-        assert np.array_equal(a.values, b.values)
+        for q in (1.0, 2.0, np.inf):
+            assert lorentz_norm(-arr, 3.0, q) == lorentz_norm(arr, 3.0, q)
 
     def test_constant_field(self):
-        prof = rearrange(-2.5 * np.ones((8, 8)))
-        assert np.all(prof.values == 2.5)
+        # A constant c on unit volume has norm (p/q)^(1/q) |c|.
+        for p, q in ((2.0, 1.0), (3.0, 2.0)):
+            got = lorentz_norm(-2.5 * np.ones((8, 8)), p, q)
+            assert got == pytest.approx((p / q) ** (1 / q) * 2.5, rel=1e-12)
 
 
 class TestLorentzNorm:

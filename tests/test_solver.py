@@ -118,30 +118,29 @@ class TestPairState:
 
 class TestPicardStep:
     def test_trivial_gauge_sends_everything_to_zero(self, grid):
-        pair = identity_pair(grid, 3)
+        pmap = solver.PicardMap.of(identity_pair(grid, 3))
         state = solver.random_state(grid, 3, np.random.default_rng(4))
-        image = solver.picard_step(state, pair)
+        image = solver.picard_step(state, pmap)
         assert forms.l2_norm(image.a) <= 1e-15
         assert forms.l2_norm(image.b) <= 1e-15
 
     def test_incomplete_pair_rejected(self, grid):
         partial = gauge.minimize_gauge(MatrixForm.zeros(grid, 1, 3))
         assert partial.xi is None
-        state = PairState.zeros(grid, 3)
         with pytest.raises(ValueError, match="incomplete"):
-            solver.picard_step(state, partial)
+            solver.PicardMap.of(partial)
 
     def test_zero_state_recovers_potential(self, grid, coexact_setup):
         # From (0, 0) the scalar source vanishes and the 2-form block lands
         # exactly on the gauge potential: -lap(xi) = d(d* xi) for closed xi.
         _, pair = coexact_setup
-        image = solver.picard_step(PairState.zeros(grid, 3), pair)
+        image = solver.picard_step(PairState.zeros(grid, 3), solver.PicardMap.of(pair))
         assert forms.l2_norm(image.a) <= 1e-15
         assert forms.l2_norm(image.b - pair.xi) <= 1e-10
 
     def test_zero_state_poisson_round_trip(self, grid, coexact_setup):
         _, pair = coexact_setup
-        image = solver.picard_step(PairState.zeros(grid, 3), pair)
+        image = solver.picard_step(PairState.zeros(grid, 3), solver.PicardMap.of(pair))
         pt = np.swapaxes(pair.P.coeffs[0], -1, -2)
         transported = forms.exterior_derivative(forms.hodge_star(pair.xi))
         transported = transported._like(
@@ -149,6 +148,26 @@ class TestPicardStep:
         src = forms.hodge_star(forms.codifferential(transported))
         defect = forms.l2_norm(forms.laplacian(image.b) + src)
         assert defect <= 1e-8 * max(1.0, forms.l2_norm(src))
+
+    def test_map_differentiates_the_rotation_once(self, grid, mixed_setup, monkeypatch):
+        # dP depends only on the gauge pair: one solve (probe included) and
+        # one contraction measurement each differentiate P exactly once.
+        omega, pair = mixed_setup
+        d = forms.exterior_derivative
+        seen = []
+
+        def counted(form):
+            if form is pair.P:
+                seen.append(form)
+            return d(form)
+
+        monkeypatch.setattr(forms, "exterior_derivative", counted)
+        _, _, report = solver.solve_pair(omega, pair)
+        assert report.iterations >= 2 and report.uniqueness_gap is not None
+        assert len(seen) == 1
+        seen.clear()
+        solver.measure_contraction(pair, np.random.default_rng(3))
+        assert len(seen) == 1
 
     def test_contraction_ratio_small(self, grid, coexact_setup):
         _, pair = coexact_setup
@@ -265,9 +284,13 @@ class TestSolvePair:
         assert report.uniqueness_gap is None
 
     def test_incomplete_pair_rejected(self, grid):
+        # The missing potential is reported before the regime guard, which a
+        # zero limit would otherwise trip.
         partial = gauge.minimize_gauge(MatrixForm.zeros(grid, 1, 3))
         with pytest.raises(ValueError, match="incomplete"):
             solver.solve_pair(MatrixForm.zeros(grid, 1, 3), partial)
+        with pytest.raises(ValueError, match="incomplete"):
+            solver.solve_pair(MatrixForm.zeros(grid, 1, 3), partial, regime_limit=0.0)
 
 
 class TestPairResidual:

@@ -30,6 +30,19 @@ class TestBandLimitedField:
         assert np.abs(spec[~band]).max() < 1e-12
         assert np.abs(spec[band]).max() > 0.1
 
+    def test_stream_aligned_across_kmin(self):
+        # Every mode of the kmax cube is drawn before the band filter, so
+        # raising kmin removes the inner shell and leaves every other mode.
+        g = Grid(2, 16)
+        full = synth.band_limited_field(g, np.random.default_rng(3), kmax=3, kmin=1)
+        outer = synth.band_limited_field(g, np.random.default_rng(3), kmax=3, kmin=2)
+        spec = np.fft.fftn(full - outer) / full.size
+        k = np.fft.fftfreq(16, 1 / 16)
+        kx, ky = np.meshgrid(k, k, indexing="ij")
+        shell = np.maximum(np.abs(kx), np.abs(ky)) == 1
+        assert np.abs(spec[~shell]).max() < 1e-12
+        assert np.abs(spec[shell]).max() > 0.1
+
     def test_zero_mean(self):
         f = synth.band_limited_field(Grid(2, 16), np.random.default_rng(2), kmax=2)
         assert abs(f.mean()) < 1e-13
