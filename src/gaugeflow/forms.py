@@ -10,9 +10,11 @@ every axis, so derivatives stay real and exactly skew-adjoint.
 A first derivative along one axis is one real matmul by the cached res x res
 differentiation matrix, the circulant form of that spectral derivative; it is
 bitwise skew, and constants stay exactly flat.  The operators whose symbol does
-not separate by axis (Laplacian, Poisson solve, harmonic part) take one real
-FFT per input, a half-spectrum symbol and one inverse per result.  Both paths
-are deterministic, so reruns are byte-identical.
+not separate by axis (Laplacian, Poisson solve, harmonic part, the heat-flow
+step) take one matmul per axis by the cached real orthonormal Fourier basis,
+a pointwise symbol on the full (res,)*n table, and one matmul per axis back;
+constants come out exact.  No numpy.fft transform is taken, and reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -81,30 +83,24 @@ class Grid:
 
 
 @lru_cache(maxsize=None)
-def _wavenumbers(n: int, res: int) -> tuple:
-    # 2 pi k per axis over the half spectrum (res, ..., res // 2 + 1) that _rfft
-    # puts last.  The Nyquist bin is zeroed on every axis, the halved one too,
-    # as the differentiation matrix zeroes it, so the symbols agree with d.
-    k = 2.0 * np.pi * np.fft.fftfreq(res, d=1.0 / res)
-    k[res // 2] = 0.0
-    k.setflags(write=False)
-    halved = k[: res // 2 + 1]
-    return tuple((k if axis < n - 1 else halved).reshape((-1,) + (1,) * (n - 1 - axis))
-                 for axis in range(n))
-
-
-def _rfft(arr: np.ndarray, first: int, n: int) -> np.ndarray:
-    # The n spatial axes from `first` on move last, out of the value axes'
-    # way, and the spectrum keeps them there; _irfft moves them back.
-    spatial = tuple(range(-n, 0))
-    moved = np.moveaxis(arr, tuple(range(first, first + n)), spatial)
-    return np.fft.rfftn(moved, axes=spatial)
-
-
-def _irfft(spec: np.ndarray, first: int, n: int, res: int) -> np.ndarray:
-    spatial = tuple(range(-n, 0))
-    out = np.fft.irfftn(spec, s=(res,) * n, axes=spatial)
-    return np.ascontiguousarray(np.moveaxis(out, spatial, tuple(range(first, first + n))))
+def _fourier_basis(res: int) -> tuple:
+    # Real orthonormal Fourier basis, one function per row: the mean, then
+    # cos and sin of each wave 0 < k < res/2, then the Nyquist alternation.
+    # Its transpose is its inverse.  `wave` holds each row's 2 pi k, with 0
+    # for the Nyquist row as the differentiation matrix zeroes that bin.
+    j = np.arange(res)
+    k = np.arange(1, res // 2)
+    phase = 2.0 * np.pi * (np.outer(k, j) % res) / res
+    basis = np.empty((res, res))
+    basis[0] = 1.0 / math.sqrt(res)
+    basis[1:-1:2] = math.sqrt(2.0 / res) * np.cos(phase)
+    basis[2:-1:2] = math.sqrt(2.0 / res) * np.sin(phase)
+    basis[-1] = (-1.0) ** j / math.sqrt(res)
+    wave = np.zeros(res)
+    wave[1:-1:2] = wave[2:-1:2] = 2.0 * np.pi * k
+    for arr in (basis, wave):
+        arr.setflags(write=False)
+    return basis, wave
 
 
 @lru_cache(maxsize=None)
@@ -122,9 +118,22 @@ def _derivative_matrix(res: int) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=None)
+def _negated_derivative_matrix(res: int) -> np.ndarray:
+    # (-D) @ x == -(D @ x) bit for bit, so a negative sign costs no temporary.
+    mat = -_derivative_matrix(res)
+    mat.setflags(write=False)
+    return mat
+
+
+def _lines(arr: np.ndarray, axis: int, res: int) -> np.ndarray:
+    """View of arr as (lines before, res, lines after) along `axis`."""
+    return arr.reshape(math.prod(arr.shape[:axis]), res, -1)
+
+
 def _spectral_axis_derivative(arr: np.ndarray, axis: int, res: int) -> np.ndarray:
     """d/dx_axis of arr: one batched matmul by the differentiation matrix."""
-    lines = arr.reshape(math.prod(arr.shape[:axis]), res, -1)
+    lines = _lines(arr, axis, res)
     # D's rows sum to zero only up to rounding; differentiating each line
     # minus its first sample keeps constants exactly flat.
     return (_derivative_matrix(res) @ (lines - lines[:, :1])).reshape(arr.shape)
@@ -285,10 +294,19 @@ def exterior_derivative(form):
     if form.k >= form.grid.n:
         raise ValueError("top-degree form")
     n, res = form.grid.n, form.grid.res
-    out = np.zeros((len(components(n, form.k + 1)),) + form.coeffs.shape[1:])
-    # each (component, axis) pair enters once, so no partial is taken twice
+    out = np.empty((len(components(n, form.k + 1)),) + form.coeffs.shape[1:])
+    matrices = {1.0: _derivative_matrix(res), -1.0: _negated_derivative_matrix(res)}
+    written = set()
+    # each (component, axis) pair enters once, so no partial is taken twice;
+    # an output component's first term is written in place, later ones added
     for ia, axis, io, sign in _deriv_table(n, form.k):
-        out[io] += sign * _spectral_axis_derivative(form.coeffs[ia], axis, res)
+        lines = _lines(form.coeffs[ia], axis, res)
+        target = _lines(out[io], axis, res)
+        if io in written:
+            target += matrices[sign] @ (lines - lines[:, :1])
+        else:
+            np.matmul(matrices[sign], lines - lines[:, :1], out=target)
+            written.add(io)
     return form._like(out, form.k + 1)
 
 
@@ -367,21 +385,51 @@ def wedge(a: MatrixForm, b):
 
 @lru_cache(maxsize=None)
 def _laplace_symbol(n: int, res: int) -> np.ndarray:
-    # -4 pi^2 |k|^2 on the half spectrum, zero on the kernel bins (mean + Nyquist).
-    sym = -sum(k ** 2 for k in _wavenumbers(n, res))
+    # -4 pi^2 |k|^2 per product of basis rows, zero on the kernel (products
+    # of the mean and Nyquist rows).
+    wave = _fourier_basis(res)[1]
+    sym = np.zeros((res,) * n)
+    for axis in range(n):
+        sym -= (wave ** 2).reshape((-1,) + (1,) * (n - 1 - axis))
     sym.setflags(write=False)
     return sym
 
 
-def _apply_symbol(form, sym: np.ndarray):
-    """One real-FFT round trip of every coefficient through a half-spectrum symbol."""
-    n, res = form.grid.n, form.grid.res
-    return form._like(_irfft(_rfft(form.coeffs, 1, n) * sym, 1, n, res))
+@lru_cache(maxsize=None)
+def _poisson_symbol(n: int, res: int) -> np.ndarray:
+    # (-laplacian)^-1 off the kernel, zero on it.
+    sym = _laplace_symbol(n, res)
+    inv = np.divide(-1.0, sym, out=np.zeros_like(sym), where=sym < 0)
+    inv.setflags(write=False)
+    return inv
+
+
+def _apply_symbol(arr: np.ndarray, sym: np.ndarray, first: int) -> np.ndarray:
+    """Every coefficient of arr through a symbol on the real Fourier basis.
+
+    The sym.ndim spatial axes of arr start at `first`.  Each axis takes one
+    batched matmul into the basis and, after the pointwise symbol, one back.
+    """
+    n, res = sym.ndim, sym.shape[0]
+    basis = _fourier_basis(res)[0]
+    # The non-mean basis rows sum to zero only up to rounding; transforming
+    # arr minus its first sample and adding that sample back times the
+    # symbol's mean value keeps constants exact.
+    start = arr[(slice(None),) * first + (slice(0, 1),) * n]
+    coef = arr - start
+    for axis in range(first, first + n):
+        coef = (basis @ _lines(coef, axis, res)).reshape(arr.shape)
+    coef *= sym.reshape(sym.shape + (1,) * (arr.ndim - first - n))
+    for axis in range(first, first + n):
+        coef = (basis.T @ _lines(coef, axis, res)).reshape(arr.shape)
+    coef += sym[(0,) * n] * start
+    return coef
 
 
 def laplacian(form):
     """Componentwise sum of second derivatives (negative semidefinite)."""
-    return _apply_symbol(form, _laplace_symbol(form.grid.n, form.grid.res))
+    sym = _laplace_symbol(form.grid.n, form.grid.res)
+    return form._like(_apply_symbol(form.coeffs, sym, 1))
 
 
 def solve_poisson(form, zero_mean: bool = False):
@@ -396,8 +444,8 @@ def solve_poisson(form, zero_mean: bool = False):
         worst = float(np.abs(form.coeffs.mean(axis=axes)).max())
         if worst > 1e-10:
             raise ValueError(f"right-hand side has nonzero mean {worst:.3e}")
-    sym = _laplace_symbol(form.grid.n, form.grid.res)
-    return _apply_symbol(form, np.divide(-1.0, sym, out=np.zeros_like(sym), where=sym < 0))
+    sym = _poisson_symbol(form.grid.n, form.grid.res)
+    return form._like(_apply_symbol(form.coeffs, sym, 1))
 
 
 def project_closed(form):
@@ -413,7 +461,8 @@ def harmonic_part(form):
     On the torus this is the constant part of each component, plus whatever
     energy sits in the dropped Nyquist bins.
     """
-    return _apply_symbol(form, _laplace_symbol(form.grid.n, form.grid.res) == 0)
+    sym = _laplace_symbol(form.grid.n, form.grid.res) == 0
+    return form._like(_apply_symbol(form.coeffs, sym, 1))
 
 
 def inner(a, b) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,11 @@ class MapField:
     def as_form(self) -> VectorForm:
         """The map as a vector-valued 0-form."""
         return VectorForm(self.grid, 0, self.values[None])
+
+    @cached_property
+    def gradient(self) -> VectorForm:
+        """Spectral differential du as a vector-valued 1-form, taken once per map."""
+        return forms.exterior_derivative(self.as_form())
 
 
 def constant_map(grid: Grid, m: int, axis: int = 0) -> MapField:
@@ -114,7 +120,7 @@ def _renormalize(grid: Grid, values: np.ndarray) -> MapField:
 
 def map_gradient(u: MapField) -> VectorForm:
     """Spectral differential du as a vector-valued 1-form."""
-    return forms.exterior_derivative(u.as_form())
+    return u.gradient
 
 
 def dirichlet_energy(u: MapField) -> float:
@@ -160,8 +166,7 @@ def heat_flow_relax(u0: MapField, tau: float | None = None, steps: int = 100) ->
         grad2 = (map_gradient(u).coeffs ** 2).sum(axis=(0, -1))
         for _ in range(21):
             rhs = u.values + trial_tau * grad2[..., None] * u.values
-            spec = forms._rfft(rhs, 0, grid.n)
-            v = forms._irfft(spec / (1.0 - trial_tau * sym), 0, grid.n, grid.res)
+            v = forms._apply_symbol(rhs, 1.0 / (1.0 - trial_tau * sym), 0)
             candidate = _renormalize(grid, v)
             cand_energy = dirichlet_energy(candidate)
             # tolerate rounding wiggle at exact fixed points

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import connection, forms, gauge, lorentz, solver
 from .forms import MatrixForm, VectorForm
-from .maps import MapField
+from .maps import MapField, map_gradient
 
 __all__ = [
     "ResidualReport",
@@ -82,7 +82,7 @@ def _check_pair_against_map(A: MatrixForm, B: MatrixForm, u: MapField):
 def conservation_current(A: MatrixForm, B: MatrixForm, u: MapField) -> VectorForm:
     """The conserved current J, a vector-valued form of degree n-1."""
     _check_pair_against_map(A, B, u)
-    du = forms.exterior_derivative(u.as_form())
+    du = map_gradient(u)
     weight = solver.current_weight(u.grid.n)
     return (forms.hodge_star(forms.wedge(A, du))
             + weight * forms.wedge(forms.hodge_star(B), du))

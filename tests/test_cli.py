@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gaugeflow
-from gaugeflow import cli, fieldio, maps, pipeline, synth, verify
+from gaugeflow import cli, fieldio, forms, maps, pipeline, synth, verify
 
 SYNTHETIC = """\
 [grid]
@@ -145,6 +145,32 @@ class TestCommands:
         generated = json.loads((out / "generate.json").read_text())
         residual = json.loads((out / "verify.json").read_text())["residual"]
         assert dict(residual["components"])["tension"] == generated["tension"]
+
+    def test_verify_differentiates_each_map_once(self, heatflow_ini, tmp_path, monkeypatch):
+        # The flow's next step, the tension, the energy, the connection and
+        # the verifier share the gradient the energy test took.
+        derivative = forms.exterior_derivative
+        maps_seen = []
+
+        def counted(form):
+            if isinstance(form, forms.VectorForm) and form.k == 0:
+                maps_seen.append(form.coeffs.base)
+            return derivative(form)
+
+        monkeypatch.setattr(forms, "exterior_derivative", counted)
+        energy = maps.dirichlet_energy
+        energies = []
+
+        def counted_energy(u):
+            energies.append(u)
+            return energy(u)
+
+        monkeypatch.setattr(maps, "dirichlet_energy", counted_energy)
+        assert cli.main(["verify", "--config", str(heatflow_ini),
+                         "--out", str(tmp_path / "run")]) == 0
+        assert len({id(values) for values in maps_seen}) == len(maps_seen)
+        # the initial map and every flow trial, the final map among them
+        assert len(maps_seen) == len(energies) - 1
 
 
 class TestDeterminism:

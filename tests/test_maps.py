@@ -129,6 +129,10 @@ class TestHeatFlow:
         diffs = np.diff(energies)
         assert (diffs <= 1e-12 * np.abs(energies[0])).all()
 
+    def test_constant_map_is_a_fixed_point_bitwise(self):
+        u = maps.constant_map(Grid(3, 16), 3, axis=2)
+        assert np.array_equal(maps.heat_flow_relax(u, steps=1).values, u.values)
+
     def test_rejects_unstable_step(self):
         u = maps.constant_map(Grid(2, 16), 2)
         with pytest.raises(ValueError, match="stability"):
