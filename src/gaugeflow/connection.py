@@ -120,4 +120,4 @@ def connection_residual(u: MapField, omega: MatrixForm) -> float:
     """L2 size of lap(u) + Omega . grad(u); zero iff the pair satisfies the equation."""
     lap = forms.laplacian(u.as_form()).coeffs[0]
     defect = lap + contract_gradient(omega, u)
-    return float(np.sqrt((defect ** 2).sum() * u.grid.cell))
+    return float(np.sqrt(forms._sum_products(defect, defect) * u.grid.cell))

@@ -328,7 +328,7 @@ def hodge_star(form):
     nout = len(components(n, n - k))
     out = np.empty((nout,) + form.coeffs.shape[1:])
     for ia, io, sign in _star_table(n, k):
-        out[io] = sign * form.coeffs[ia]
+        np.multiply(form.coeffs[ia], sign, out=out[io])
     return form._like(out, n - k)
 
 
@@ -379,7 +379,10 @@ def wedge(a: MatrixForm, b):
             prod = (left @ right[..., None])[..., 0]
         else:
             prod = left @ right
-        out[io] += sign * prod
+        if sign > 0:
+            out[io] += prod
+        else:
+            out[io] -= prod
     return b._like(out, a.k + b.k)
 
 
@@ -440,8 +443,7 @@ def solve_poisson(form, zero_mean: bool = False):
     input means vanish, turning silent kernel loss into an error.
     """
     if zero_mean:
-        axes = tuple(range(1, form.grid.n + 1))
-        worst = float(np.abs(form.coeffs.mean(axis=axes)).max())
+        worst = float(np.abs(_grid_means(form)).max())
         if worst > 1e-10:
             raise ValueError(f"right-hand side has nonzero mean {worst:.3e}")
     sym = _poisson_symbol(form.grid.n, form.grid.res)
@@ -465,20 +467,49 @@ def harmonic_part(form):
     return form._like(_apply_symbol(form.coeffs, sym, 1))
 
 
+def _grid_lines(arr: np.ndarray, first: int, n: int) -> np.ndarray:
+    """arr as (leading entries, grid points, trailing entries); the n spatial
+    axes start at `first`."""
+    points = math.prod(arr.shape[first:first + n])
+    return arr.reshape(math.prod(arr.shape[:first]), points, -1)
+
+
+# The reductions below take numpy's own einsum loops, never BLAS (np.dot,
+# np.vdot, matmul by ones): BLAS splits a dot product differently for each
+# thread count, and artifacts must not depend on it.  They also avoid the
+# slow multi-axis paths of np.sum and np.mean.
+
+def _pointwise_sq(arr: np.ndarray, first: int, n: int) -> np.ndarray:
+    """Sum of squares at each grid point, over every axis but the n spatial
+    ones from `first`."""
+    lines = _grid_lines(arr, first, n)
+    return np.einsum("cnv,cnv->n", lines, lines).reshape(arr.shape[first:first + n])
+
+
+def _sum_products(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of a * b over every entry."""
+    return float(np.einsum("i,i->", a.reshape(-1), b.reshape(-1)))
+
+
+def _grid_means(form) -> np.ndarray:
+    """Grid mean of every coefficient entry, shape (ncomp, values)."""
+    lines = _grid_lines(form.coeffs, 1, form.grid.n)
+    return np.einsum("cnv->cv", lines) / lines.shape[1]
+
+
 def inner(a, b) -> float:
     """L2 inner product: cell measure times the summed Frobenius pairing."""
     a._check_compatible(b)
-    return float(np.vdot(a.coeffs, b.coeffs)) * a.grid.cell
+    return _sum_products(a.coeffs, b.coeffs) * a.grid.cell
 
 
 def l2_norm(form) -> float:
-    return float(np.sqrt(np.sum(form.coeffs ** 2) * form.grid.cell))
+    return float(np.sqrt(_sum_products(form.coeffs, form.coeffs) * form.grid.cell))
 
 
 def pointwise_norm(form) -> np.ndarray:
     """Pointwise magnitude: l2 over components, Frobenius over values."""
-    axes = (0,) + tuple(range(form.grid.n + 1, form.coeffs.ndim))
-    return np.sqrt(np.sum(form.coeffs ** 2, axis=axes))
+    return np.sqrt(_pointwise_sq(form.coeffs, 1, form.grid.n))
 
 
 def sup_norm(form) -> float:

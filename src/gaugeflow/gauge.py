@@ -89,20 +89,34 @@ def so_exp(skew: np.ndarray) -> np.ndarray:
         phase = np.exp(-1j * w)
         out = (v * phase[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
         return np.ascontiguousarray(out.real)
-    theta = np.sqrt(0.5 * (skew ** 2).sum(axis=(-1, -2)))[..., None, None]
+    theta = np.sqrt(0.5 * forms._pointwise_sq(skew, 0, skew.ndim - 2))[..., None, None]
     half = np.sinc(theta / (2.0 * np.pi))
     return np.eye(m) + np.sinc(theta / np.pi) * skew + 0.5 * half ** 2 * (skew @ skew)
 
 
+def _transpose(pointwise: np.ndarray) -> np.ndarray:
+    # A contiguous copy: batched products with a transposed view as operand
+    # take numpy's slow path.
+    return np.ascontiguousarray(np.swapaxes(pointwise, -1, -2))
+
+
 def _orthogonality_defect(pointwise: np.ndarray) -> float:
     m = pointwise.shape[-1]
-    gram = np.swapaxes(pointwise, -1, -2) @ pointwise
+    gram = _transpose(pointwise) @ pointwise
     return float(np.abs(gram - np.eye(m)).max())
 
 
-def _polar_project(pointwise: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(pointwise)
-    return u @ vh
+def _polar(pointwise: np.ndarray):
+    """Nearest orthogonal matrix at each point, and the singular values."""
+    u, sigma, vh = np.linalg.svd(pointwise)
+    return u @ vh, sigma
+
+
+def _rotation_distance(pointwise: np.ndarray):
+    """rotation_distance plus the singular values of its polar decomposition."""
+    nearest, sigma = _polar(pointwise)
+    dist = np.sqrt(forms._pointwise_sq(pointwise - nearest, 0, pointwise.ndim - 2))
+    return dist, np.linalg.det(pointwise) <= 0, sigma
 
 
 def rotation_distance(pointwise: np.ndarray):
@@ -111,16 +125,20 @@ def rotation_distance(pointwise: np.ndarray):
     Returns (distances, negdet); negdet marks points with non-positive
     determinant, where the nearest rotation is ill-defined.
     """
-    nearest = _polar_project(pointwise)
-    dist = np.sqrt(((pointwise - nearest) ** 2).sum(axis=(-1, -2)))
-    return dist, np.linalg.det(pointwise) <= 0
+    dist, negdet, _ = _rotation_distance(pointwise)
+    return dist, negdet
 
 
 def _gauged_connection(pointwise: np.ndarray, omega: MatrixForm) -> np.ndarray:
-    """Coefficients of P^T dP + P^T Omega P for a pointwise rotation array."""
+    """Coefficients of P^T (dP + Omega P) for a pointwise rotation array."""
     dp = forms.exterior_derivative(MatrixForm(omega.grid, 0, pointwise[None])).coeffs
-    pt = np.swapaxes(pointwise, -1, -2)
-    return pt @ dp + pt @ omega.coeffs @ pointwise
+    covariant = omega.coeffs @ pointwise
+    covariant += dp
+    return _transpose(pointwise) @ covariant
+
+
+def _energy(gauged: np.ndarray, grid: Grid) -> float:
+    return forms._sum_products(gauged, gauged) * grid.cell
 
 
 def gauge_energy(P: MatrixForm, omega: MatrixForm) -> float:
@@ -131,8 +149,7 @@ def gauge_energy(P: MatrixForm, omega: MatrixForm) -> float:
         raise ValueError("rotation and connection are incompatible")
     if _orthogonality_defect(P.coeffs[0]) > ORTHOGONALITY_TOL:
         raise ValueError("rotation field is not orthogonal")
-    gauged = _gauged_connection(P.coeffs[0], omega)
-    return float((gauged ** 2).sum()) * omega.grid.cell
+    return _energy(_gauged_connection(P.coeffs[0], omega), omega.grid)
 
 
 def minimize_gauge(omega: MatrixForm, tol: float | None = None,
@@ -157,7 +174,7 @@ def minimize_gauge(omega: MatrixForm, tol: float | None = None,
     # The accepted trial's gauged connection and energy carry over, so each
     # rotation is gauged once.
     gauged = _gauged_connection(pointwise, omega)
-    energy = float((gauged ** 2).sum()) * grid.cell
+    energy = _energy(gauged, grid)
     for iteration in range(max_iter + 1):
         crit = forms.codifferential(MatrixForm(grid, 1, gauged))
         residual = forms.l2_norm(crit)
@@ -175,14 +192,14 @@ def minimize_gauge(omega: MatrixForm, tol: float | None = None,
             eta = -forms.solve_poisson(MatrixForm(grid, 0, grad[None])).coeffs[0]
         else:
             eta = -grad
-        slope = float((grad * eta).sum()) * grid.cell
+        slope = forms._sum_products(grad, eta) * grid.cell
         while True:
             step = so_exp(tau * eta)
             candidate = pointwise @ step
             if _orthogonality_defect(candidate) > REPROJECT_TOL:
-                candidate = _polar_project(candidate)
+                candidate = _polar(candidate)[0]
             trial = _gauged_connection(candidate, omega)
-            trial_energy = float((trial ** 2).sum()) * grid.cell
+            trial_energy = _energy(trial, grid)
             # strict decrease too: an exact no-op step would otherwise tie
             if trial_energy < energy and trial_energy <= energy + 1e-4 * tau * slope:
                 break
@@ -206,7 +223,7 @@ def extract_xi(P: MatrixForm, omega: MatrixForm, iterations: int = 0) -> GaugePa
     """
     grid = omega.grid
     gauged = MatrixForm(grid, 1, _gauged_connection(P.coeffs[0], omega))
-    energy = float((gauged.coeffs ** 2).sum()) * grid.cell
+    energy = _energy(gauged.coeffs, grid)
     criticality = forms.l2_norm(forms.codifferential(gauged))
     harmonic = forms.l2_norm(forms.harmonic_part(gauged))
     xi_raw = forms.exterior_derivative(forms.solve_poisson(gauged))

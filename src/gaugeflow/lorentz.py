@@ -10,6 +10,7 @@ the closed-form value (p/q)^(1/q) a^(1/p) up to the cell quantization of a.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +28,18 @@ def _magnitudes(field) -> tuple:
     return np.abs(arr).ravel(), 1.0 / arr.size
 
 
+@lru_cache(maxsize=32)
+def _step_weights(size: int, cell: float, p: float, q: float) -> np.ndarray:
+    """Per-sample weights t_i^{1/p} (q = inf) or t_i^{q/p} - t_{i-1}^{q/p}."""
+    cum = np.arange(1, size + 1, dtype=float) * cell
+    if math.isinf(q):
+        weights = cum ** (1.0 / p)
+    else:
+        weights = np.diff(cum ** (q / p), prepend=0.0)
+    weights.setflags(write=False)
+    return weights
+
+
 def lorentz_norm(field, p: float, q: float) -> float:
     """Discrete L^{p,q} norm, exact on the step-function rearrangement.
 
@@ -41,8 +54,7 @@ def lorentz_norm(field, p: float, q: float) -> float:
         raise ValueError(f"Lorentz index q must be >= 1, got {q}")
     vals, cell = _magnitudes(field)
     vals = np.sort(vals)[::-1]
-    cum = np.arange(1, vals.size + 1, dtype=float) * cell
+    weights = _step_weights(vals.size, cell, float(p), float(q))
     if math.isinf(q):
-        return float(np.max(cum ** (1.0 / p) * vals, initial=0.0))
-    steps = np.diff(cum ** (q / p), prepend=0.0)
-    return float((p / q * np.sum(vals ** q * steps)) ** (1.0 / q))
+        return float(np.max(weights * vals, initial=0.0))
+    return float((p / q * np.sum(vals ** q * weights)) ** (1.0 / q))

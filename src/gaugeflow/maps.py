@@ -42,7 +42,7 @@ class MapField:
         if arr.shape[:-1] != self.grid.shape or arr.ndim != self.grid.n + 1:
             raise ValueError(f"map values have shape {arr.shape}, expected {self.grid.shape} + (m,)")
         if self.unit_sphere:
-            defect = np.abs((arr ** 2).sum(axis=-1) - 1.0).max()
+            defect = np.abs(forms._pointwise_sq(arr, 0, self.grid.n) - 1.0).max()
             if defect > 1e-12:
                 raise ValueError(f"map leaves the unit sphere by {defect:.3e}")
         arr.setflags(write=False)
@@ -105,17 +105,17 @@ def perturbed_map(base: MapField, delta: float, seed: int,
     noise = synth.band_limited_field(base.grid, rng, kmax, kmin, (base.m,))
     radial = (noise * base.values).sum(axis=-1, keepdims=True)
     tangent = noise - radial * base.values
-    scale = math.sqrt(float((tangent ** 2).sum()) * base.grid.cell)
+    scale = math.sqrt(forms._sum_products(tangent, tangent) * base.grid.cell)
     if scale == 0.0:
         raise ValueError("tangent projection annihilated the noise draw")
     return _renormalize(base.grid, base.values + (delta / scale) * tangent)
 
 
 def _renormalize(grid: Grid, values: np.ndarray) -> MapField:
-    norms = np.sqrt((values ** 2).sum(axis=-1, keepdims=True))
+    norms = np.sqrt(forms._pointwise_sq(values, 0, grid.n))
     if norms.min() < 0.5:
         raise ValueError("renormalization would blow up: a value came too close to 0")
-    return MapField(grid, values / norms)
+    return MapField(grid, values / norms[..., None])
 
 
 def map_gradient(u: MapField) -> VectorForm:
@@ -124,16 +124,19 @@ def map_gradient(u: MapField) -> VectorForm:
 
 
 def dirichlet_energy(u: MapField) -> float:
-    du = map_gradient(u)
-    return 0.5 * float((du.coeffs ** 2).sum()) * u.grid.cell
+    du = map_gradient(u).coeffs
+    return 0.5 * forms._sum_products(du, du) * u.grid.cell
+
+
+def _gradient_sq(u: MapField) -> np.ndarray:
+    """|grad u|^2 at each grid point."""
+    return forms._pointwise_sq(map_gradient(u).coeffs, 1, u.grid.n)
 
 
 def _tension_field(u: MapField) -> np.ndarray:
     """Pointwise sphere tension lap(u) + |grad u|^2 u."""
     lap = forms.laplacian(u.as_form()).coeffs[0]
-    du = map_gradient(u)
-    grad2 = (du.coeffs ** 2).sum(axis=(0, -1))
-    return lap + grad2[..., None] * u.values
+    return lap + _gradient_sq(u)[..., None] * u.values
 
 
 def tension_residual(u: MapField) -> float:
@@ -141,7 +144,7 @@ def tension_residual(u: MapField) -> float:
     if not u.unit_sphere:
         raise ValueError("tension residual needs a unit-sphere map")
     t = _tension_field(u)
-    return float(np.sqrt((t ** 2).sum() * u.grid.cell))
+    return float(np.sqrt(forms._sum_products(t, t) * u.grid.cell))
 
 
 def heat_flow_relax(u0: MapField, tau: float | None = None, steps: int = 100) -> MapField:
@@ -163,7 +166,7 @@ def heat_flow_relax(u0: MapField, tau: float | None = None, steps: int = 100) ->
     energy = dirichlet_energy(u)
     for _ in range(steps):
         trial_tau = tau
-        grad2 = (map_gradient(u).coeffs ** 2).sum(axis=(0, -1))
+        grad2 = _gradient_sq(u)
         for _ in range(21):
             rhs = u.values + trial_tau * grad2[..., None] * u.values
             v = forms._apply_symbol(rhs, 1.0 / (1.0 - trial_tau * sym), 0)

@@ -120,8 +120,7 @@ class StateNorm:
 def gradient_norm(form: MatrixForm, q: float) -> float:
     """Lorentz L^{n,q} norm of the full first-derivative of a form."""
     grid = form.grid
-    axes = (0,) + tuple(range(1 + grid.n, form.coeffs.ndim))
-    magnitude = np.sqrt(sum(np.sum(part ** 2, axis=axes) for part in
+    magnitude = np.sqrt(sum(forms._pointwise_sq(part, 1, grid.n) for part in
                             forms._partials(form.coeffs, 1, grid.n, grid.res)))
     return lorentz.lorentz_norm(magnitude, float(grid.n), q)
 
@@ -155,18 +154,19 @@ class SolverError(RuntimeError):
 def _check_source_mean(src: MatrixForm, label: str) -> None:
     # Sources are divergences, so their means vanish to rounding; tolerance is
     # relative above unit size so scale alone cannot trip the wiring check.
-    axes = tuple(range(1, src.grid.n + 1))
-    defect = float(np.abs(src.coeffs.mean(axis=axes)).max())
+    defect = float(np.abs(forms._grid_means(src)).max())
     if defect > MEAN_TOL * max(1.0, forms.l2_norm(src)):
         raise RuntimeError(f"exactness identity broken: {label} source mean {defect:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
 class PicardMap:
-    """Gauge coefficients of the affine map: P^T (a view), dP and d(star xi).
+    """Gauge coefficients of the affine map: P^T, dP and d(star xi).
 
-    dP^T is not held: each step copies it out of dP, while a held copy would
-    stay alive through the whole solve and raise its peak memory.
+    P^T is a contiguous copy, since batched products with a transposed view
+    as right operand take numpy's slow path.  dP^T is not held: each step
+    copies it out of dP, while a held copy would stay alive through the
+    whole solve and raise its peak memory.
     """
 
     pt: np.ndarray
@@ -177,7 +177,7 @@ class PicardMap:
     def of(cls, gauge_pair: GaugePair) -> "PicardMap":
         if gauge_pair.xi is None:
             raise ValueError("gauge pair is incomplete: extract the potential first")
-        return cls(np.swapaxes(gauge_pair.P.coeffs[0], -1, -2),
+        return cls(gauge._transpose(gauge_pair.P.coeffs[0]),
                    forms.exterior_derivative(gauge_pair.P),
                    forms.exterior_derivative(forms.hodge_star(gauge_pair.xi)))
 
@@ -246,10 +246,15 @@ class SolveReport:
     couplings_version: str
 
 
-def _iterate(pmap: PicardMap, start: PairState, tol: float, max_iter: int):
-    """Run the fixed-point loop; returns (state, norms, diffs, ratios)."""
+def _iterate(pmap: PicardMap, start: PairState, tol: float, max_iter: int,
+             keep_norms: bool = True):
+    """Run the fixed-point loop; returns (state, norms, diffs, ratios).
+
+    Without keep_norms the iterates' own norms are not taken and `norms`
+    comes back empty; the differences are always measured.
+    """
     state = start
-    norms = [state_norm(state.a, state.b)]
+    norms = [state_norm(state.a, state.b)] if keep_norms else []
     diffs = []
     ratios = []
     hot = 0
@@ -265,7 +270,8 @@ def _iterate(pmap: PicardMap, start: PairState, tol: float, max_iter: int):
                     "outside contraction regime: difference ratio >= 1 for "
                     "three consecutive iterations", [d.total for d in diffs])
         diffs.append(diff)
-        norms.append(state_norm(new.a, new.b))
+        if keep_norms:
+            norms.append(state_norm(new.a, new.b))
         state = new
         if diff.total <= tol:
             return state, norms, diffs, ratios
@@ -301,7 +307,7 @@ def solve_pair(omega: MatrixForm, gauge_pair: GaugePair, tol: float = 1e-8,
     uniqueness_gap = None
     if probe_seed is not None:
         start = random_state(grid, m, np.random.default_rng(probe_seed))
-        other, _, _, _ = _iterate(pmap, start, tol, max_iter)
+        other, _, _, _ = _iterate(pmap, start, tol, max_iter, keep_norms=False)
         uniqueness_gap = state_norm(other.a - state.a, other.b - state.b).total
         if uniqueness_gap > 10 * tol:
             raise SolverError(
@@ -311,15 +317,17 @@ def solve_pair(omega: MatrixForm, gauge_pair: GaugePair, tol: float = 1e-8,
     A = _assemble(state, pmap)
     B = state.b
 
+    # A = (id + a) P^T with P orthogonal, so A's singular values, taken by
+    # the polar decomposition behind the rotation distance, are those of id + a.
     sup_a = forms.sup_norm(state.a)
-    smallest = np.linalg.svd(state.a.coeffs[0] + np.eye(m), compute_uv=False).min()
+    dist, negdet, sigma = gauge._rotation_distance(A.coeffs[0])
+    smallest = sigma.min()
     if smallest < 1.0 - sup_a - 1e-8:
         raise SolverError(
             f"invertibility margin violated: min singular value {smallest:.3e} "
             f"< 1 - {sup_a:.3e}", [d.total for d in diffs])
 
     res_l2, res_sup = pair_residual(A, B, omega)
-    dist, negdet = gauge.rotation_distance(A.coeffs[0])
     report = SolveReport(
         iterations=len(diffs),
         iterate_norms=tuple(norms),

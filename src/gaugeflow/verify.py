@@ -143,9 +143,9 @@ def conservation_residual(A: MatrixForm, B: MatrixForm, u: MapField,
             shape = [1] * grid.n
             shape[axis] = grid.res
             mask &= inside.reshape(shape)
-        pointwise = np.sqrt(np.sum(density ** 2, axis=-1))
-        interior_l2 = float(np.sqrt(np.sum(pointwise[mask] ** 2) * grid.cell))
-        interior_sup = float(pointwise[mask].max(initial=0.0))
+        square = forms._pointwise_sq(density, 0, grid.n)[mask]
+        interior_l2 = float(np.sqrt(square.sum() * grid.cell))
+        interior_sup = float(np.sqrt(square.max(initial=0.0)))
         components += (("interior_l2", interior_l2), ("interior_sup", interior_sup))
 
     return ResidualReport(

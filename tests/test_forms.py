@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gaugeflow import connection, forms, gauge, maps, solver, synth, verify
+from gaugeflow import connection, forms, gauge, lorentz, maps, solver, synth, verify
 from gaugeflow.forms import (
     Grid,
     MatrixForm,
@@ -628,3 +628,59 @@ class TestTransformCount:
         pattern = r"\bfft\.(?:%s)\(" % "|".join(
             COMPLEX_TRANSFORMS + REAL_FORWARD + REAL_INVERSE)
         assert not re.search(pattern, inspect.getsource(module))
+
+
+# np.sum/np.mean over several axes and squares summed through a temporary
+# take numpy's slow paths; np.dot and np.vdot go to BLAS, whose split of a
+# dot product depends on the thread count.
+SLOW_OR_BLAS_REDUCTIONS = (r"\*\* 2\)\.sum\(", r"np\.sum\([^\n]*\*\* 2", r"\.mean\(axis=",
+                           r"np\.vdot\(", r"np\.dot\(")
+
+
+class TestReductions:
+    """Squared sums and grid means go through the einsum helpers in forms."""
+
+    @pytest.mark.parametrize("module", [forms, solver, maps, gauge, lorentz, verify,
+                                        connection])
+    def test_no_slow_or_blas_reduction_in_source(self, module):
+        source = inspect.getsource(module)
+        found = [p for p in SLOW_OR_BLAS_REDUCTIONS if re.search(p, source)]
+        assert not found
+
+    @pytest.mark.parametrize("values", ["matrix", "vector"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_helpers_match_the_plain_formulas(self, n, values):
+        grid = Grid(n, 8)
+        rng = np.random.default_rng(n)
+        spatial = tuple(range(1, n + 1))
+        for k in range(n + 1):
+            ncomp = len(components(n, k))
+            for m in (1, 2, 3):
+                vshape = (m, m) if values == "matrix" else (m,)
+                cls = MatrixForm if values == "matrix" else VectorForm
+                form = cls(grid, k, rng.standard_normal((ncomp,) + grid.shape + vshape))
+                c = form.coeffs
+                value_axes = tuple(range(n + 1, c.ndim))
+                np.testing.assert_allclose(
+                    forms._pointwise_sq(c, 1, n), np.sum(c ** 2, axis=(0,) + value_axes),
+                    rtol=1e-14, atol=0)
+                np.testing.assert_allclose(
+                    pointwise_norm(form), np.sqrt(np.sum(c ** 2, axis=(0,) + value_axes)),
+                    rtol=1e-14, atol=0)
+                other = np.abs(rng.standard_normal(c.shape))
+                assert forms._sum_products(np.abs(c), other) == pytest.approx(
+                    float(np.sum(np.abs(c) * other)), rel=1e-14)
+                assert l2_norm(form) == pytest.approx(
+                    float(np.sqrt(np.sum(c ** 2) * grid.cell)), rel=1e-14)
+                # offset so the means sit away from zero and compare relatively
+                shifted = cls(grid, k, c + 3.0)
+                np.testing.assert_allclose(
+                    forms._grid_means(shifted).reshape((ncomp,) + vshape),
+                    shifted.coeffs.mean(axis=spatial), rtol=1e-14, atol=0)
+
+    def test_pointwise_sq_on_leading_grid_axes(self, rng):
+        # maps and gauge pass values whose grid axes come first
+        grid = Grid(3, 8)
+        values = rng.standard_normal(grid.shape + (3, 3))
+        np.testing.assert_allclose(forms._pointwise_sq(values, 0, 3),
+                                   np.sum(values ** 2, axis=(-1, -2)), rtol=1e-14, atol=0)

@@ -28,6 +28,32 @@ def test_map_field_rejects_off_sphere_values():
         maps.tension_residual(free)
 
 
+@pytest.mark.parametrize("excess, fires", [(2e-12, True), (5e-13, False)])
+def test_map_field_sphere_check_threshold(excess, fires):
+    # |u|^2 - 1 above 1e-12 at a single point is refused
+    grid = Grid(2, 8)
+    values = maps.constant_map(grid, 3).values.copy()
+    values[3, 4] = np.sqrt(1.0 + excess) * np.array([0.6, 0.8, 0.0])
+    if fires:
+        with pytest.raises(ValueError, match="leaves the unit sphere by 2.0"):
+            maps.MapField(grid, values)
+    else:
+        assert maps.MapField(grid, values).unit_sphere
+
+
+@pytest.mark.parametrize("norm, fires", [(0.4, True), (0.6, False)])
+def test_renormalize_refuses_values_near_zero(norm, fires):
+    grid = Grid(2, 8)
+    values = maps.constant_map(grid, 3).values.copy()
+    values[2, 5] = [0.0, norm, 0.0]
+    if fires:
+        with pytest.raises(ValueError, match="blow up"):
+            maps._renormalize(grid, values)
+    else:
+        u = maps._renormalize(grid, values)
+        assert np.array_equal(u.values[2, 5], [0.0, 1.0, 0.0])
+
+
 def test_map_field_rejects_bad_shape():
     grid = Grid(2, 8)
     with pytest.raises(ValueError, match="shape"):

@@ -138,6 +138,12 @@ class TestPicardStep:
         assert forms.l2_norm(image.a) <= 1e-15
         assert forms.l2_norm(image.b - pair.xi) <= 1e-10
 
+    def test_map_holds_a_contiguous_transpose(self, coexact_setup):
+        _, pair = coexact_setup
+        pt = solver.PicardMap.of(pair).pt
+        assert pt.flags.c_contiguous
+        assert np.array_equal(pt, np.swapaxes(pair.P.coeffs[0], -1, -2))
+
     def test_zero_state_poisson_round_trip(self, grid, coexact_setup):
         _, pair = coexact_setup
         image = solver.picard_step(PairState.zeros(grid, 3), solver.PicardMap.of(pair))
@@ -283,6 +289,30 @@ class TestSolvePair:
         _, _, report = solver.solve_pair(omega, pair, probe_seed=None)
         assert report.uniqueness_gap is None
 
+    def test_probe_takes_no_iterate_norms(self, grid, coexact_setup, monkeypatch):
+        # The report keeps only the main run's iterate norms, so the probe
+        # measures its start, its differences and its gap to the main point.
+        omega, pair = coexact_setup
+        norm, iterate = solver.state_norm, solver._iterate
+        norms, steps = [], []
+
+        def counted(a, b):
+            norms.append(a)
+            return norm(a, b)
+
+        def recorded(*args, **kwargs):
+            result = iterate(*args, **kwargs)
+            steps.append(len(result[2]))
+            return result
+
+        monkeypatch.setattr(solver, "state_norm", counted)
+        monkeypatch.setattr(solver, "_iterate", recorded)
+        _, _, report = solver.solve_pair(omega, pair)
+        main, probe = steps
+        assert main == report.iterations and probe >= 1
+        assert len(report.iterate_norms) == main + 1
+        assert len(norms) == 2 * main + probe + 3
+
     def test_incomplete_pair_rejected(self, grid):
         # The missing potential is reported before the regime guard, which a
         # zero limit would otherwise trip.
@@ -291,6 +321,24 @@ class TestSolvePair:
             solver.solve_pair(MatrixForm.zeros(grid, 1, 3), partial)
         with pytest.raises(ValueError, match="incomplete"):
             solver.solve_pair(MatrixForm.zeros(grid, 1, 3), partial, regime_limit=0.0)
+
+
+class TestSourceMeanCheck:
+    """The wiring check fires on a source mean just above MEAN_TOL x its size."""
+
+    @pytest.mark.parametrize("factor, fires", [(1.001, True), (0.999, False)])
+    def test_threshold(self, grid, factor, fires):
+        coeffs = 100.0 * np.random.default_rng(3).standard_normal((3,) + grid.shape + (3, 3))
+        base = MatrixForm(grid, 2, coeffs - coeffs.mean(axis=(1, 2, 3), keepdims=True))
+        shifted = base.coeffs.copy()
+        shifted[1, ..., 0, 2] += factor * solver.MEAN_TOL * forms.l2_norm(base)
+        src = MatrixForm(grid, 2, shifted)
+        assert forms.l2_norm(src) == pytest.approx(forms.l2_norm(base), rel=1e-12)
+        if fires:
+            with pytest.raises(RuntimeError, match="exactness identity broken: 2-form"):
+                solver._check_source_mean(src, "2-form")
+        else:
+            solver._check_source_mean(src, "2-form")
 
 
 class TestPairResidual:
