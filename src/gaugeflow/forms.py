@@ -290,24 +290,44 @@ def _deriv_table(n: int, k: int) -> tuple:
     return tuple(table)
 
 
+def _apply_derivative_table(coeffs: np.ndarray, table: tuple, nout: int,
+                            res: int) -> np.ndarray:
+    """Sum the signed partials of a (comp_in, axis, comp_out, sign) table.
+
+    Each line is differentiated minus its first sample, which keeps constants
+    exactly flat, through one reused work array; an output component's first
+    term is a matmul straight into it, later ones go through one reused
+    product array and are added.  Each (component, axis) pair enters once.
+    """
+    out = np.empty((nout,) + coeffs.shape[1:])
+    work = np.empty(coeffs.shape[1:])
+    prod = None
+    matrices = {1.0: _derivative_matrix(res), -1.0: _negated_derivative_matrix(res)}
+    written = set()
+    for ia, axis, io, sign in table:
+        lines = _lines(coeffs[ia], axis, res)
+        flat = work.reshape(lines.shape)
+        np.subtract(lines, lines[:, :1], out=flat)
+        target = _lines(out[io], axis, res)
+        if io in written:
+            if prod is None:
+                prod = np.empty_like(work)
+            scratch = prod.reshape(lines.shape)
+            np.matmul(matrices[sign], flat, out=scratch)
+            target += scratch
+        else:
+            np.matmul(matrices[sign], flat, out=target)
+            written.add(io)
+    return out
+
+
 def exterior_derivative(form):
     if form.k >= form.grid.n:
         raise ValueError("top-degree form")
-    n, res = form.grid.n, form.grid.res
-    out = np.empty((len(components(n, form.k + 1)),) + form.coeffs.shape[1:])
-    matrices = {1.0: _derivative_matrix(res), -1.0: _negated_derivative_matrix(res)}
-    written = set()
-    # each (component, axis) pair enters once, so no partial is taken twice;
-    # an output component's first term is written in place, later ones added
-    for ia, axis, io, sign in _deriv_table(n, form.k):
-        lines = _lines(form.coeffs[ia], axis, res)
-        target = _lines(out[io], axis, res)
-        if io in written:
-            target += matrices[sign] @ (lines - lines[:, :1])
-        else:
-            np.matmul(matrices[sign], lines - lines[:, :1], out=target)
-            written.add(io)
-    return form._like(out, form.k + 1)
+    n, k = form.grid.n, form.k
+    out = _apply_derivative_table(form.coeffs, _deriv_table(n, k),
+                                  len(components(n, k + 1)), form.grid.res)
+    return form._like(out, k + 1)
 
 
 @lru_cache(maxsize=None)
@@ -332,13 +352,40 @@ def hodge_star(form):
     return form._like(out, n - k)
 
 
+@lru_cache(maxsize=None)
+def _codiff_table(n: int, k: int) -> tuple:
+    # d* = (-1)^(n(k+1)+1) * d * on k-forms as one table: each entry of d on
+    # (n-k)-forms, read through the star of its input, in d's order, so every
+    # output sums its terms as * d * does.  The output star's sign and d*'s
+    # own sign come after the sum, as in * d *, so even a zero keeps its
+    # sign; `negated` lists the outputs they flip.
+    sign = -1.0 if (n * (k + 1) + 1) % 2 else 1.0
+    star_in = {io: (ia, s) for ia, io, s in _star_table(n, k)}
+    star_out = {ia: (io, s) for ia, io, s in _star_table(n, n - k + 1)}
+    table = []
+    for ia, axis, io, s in _deriv_table(n, n - k):
+        src, s_in = star_in[ia]
+        table.append((src, axis, star_out[io][0], s_in * s))
+    negated = tuple(io for io, s_out in star_out.values() if sign * s_out < 0)
+    return tuple(table), negated
+
+
 def codifferential(form):
     """Codifferential d* = (-1)^(n(k+1)+1) * d *; on 1-forms, minus divergence."""
     if form.k == 0:
         raise ValueError("codifferential of 0-form")
+    return form._like(_codifferential_coeffs(form), form.k - 1)
+
+
+def _codifferential_coeffs(form) -> np.ndarray:
+    """Coefficients of d* form in a fresh, writable array."""
     n, k = form.grid.n, form.k
-    sign = -1.0 if (n * (k + 1) + 1) % 2 else 1.0
-    return sign * hodge_star(exterior_derivative(hodge_star(form)))
+    table, negated = _codiff_table(n, k)
+    out = _apply_derivative_table(form.coeffs, table, len(components(n, k - 1)),
+                                  form.grid.res)
+    for io in negated:
+        np.negative(out[io], out=out[io])
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -370,6 +417,11 @@ def wedge(a: MatrixForm, b):
         raise ValueError("degree overflow")
     if a.m != b.m:
         raise ValueError("value size mismatch")
+    return b._like(_wedge_coeffs(a, b), a.k + b.k)
+
+
+def _wedge_coeffs(a: MatrixForm, b) -> np.ndarray:
+    """Coefficients of a ^ b in a fresh, writable array."""
     matvec = isinstance(b, VectorForm)
     nout = len(components(a.grid.n, a.k + b.k))
     out = np.zeros((nout,) + b.coeffs.shape[1:])
@@ -383,7 +435,7 @@ def wedge(a: MatrixForm, b):
             out[io] += prod
         else:
             out[io] -= prod
-    return b._like(out, a.k + b.k)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -419,12 +471,16 @@ def _apply_symbol(arr: np.ndarray, sym: np.ndarray, first: int) -> np.ndarray:
     # arr minus its first sample and adding that sample back times the
     # symbol's mean value keeps constants exact.
     start = arr[(slice(None),) * first + (slice(0, 1),) * n]
+    # Each matmul reads one buffer and writes the other, so two full-size
+    # arrays serve all 2n of them; after an even count `coef` holds the result.
     coef = arr - start
-    for axis in range(first, first + n):
-        coef = (basis @ _lines(coef, axis, res)).reshape(arr.shape)
-    coef *= sym.reshape(sym.shape + (1,) * (arr.ndim - first - n))
-    for axis in range(first, first + n):
-        coef = (basis.T @ _lines(coef, axis, res)).reshape(arr.shape)
+    spare = np.empty_like(coef)
+    for mat in (basis, basis.T):
+        for axis in range(first, first + n):
+            np.matmul(mat, _lines(coef, axis, res), out=_lines(spare, axis, res))
+            coef, spare = spare, coef
+        if mat is basis:
+            coef *= sym.reshape(sym.shape + (1,) * (arr.ndim - first - n))
     coef += sym[(0,) * n] * start
     return coef
 
@@ -454,7 +510,9 @@ def project_closed(form):
     """Hodge projection onto closed forms: identity minus d* (-lap)^-1 d."""
     if not 1 <= form.k <= form.grid.n - 1:
         raise ValueError("projection needs 1 <= k <= n-1")
-    return form - codifferential(solve_poisson(exterior_derivative(form)))
+    out = _codifferential_coeffs(solve_poisson(exterior_derivative(form)))
+    np.subtract(form.coeffs, out, out=out)
+    return form._like(out)
 
 
 def harmonic_part(form):

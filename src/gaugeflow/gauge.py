@@ -163,6 +163,20 @@ def minimize_gauge(omega: MatrixForm, tol: float | None = None,
     when the criticality residual drops below tol.  The default tol is
     relative to the L2 size of omega, so omega = 0 converges immediately.
     """
+    pointwise, _, energy, residual, iterations = _descend(
+        omega, tol, max_iter, preconditioned)
+    return GaugePair(MatrixForm(omega.grid, 0, pointwise[None]), None,
+                     GaugeDiagnostics(energy, residual, iterations))
+
+
+def _descend(omega: MatrixForm, tol: float | None, max_iter: int,
+             preconditioned: bool) -> tuple:
+    """The descent of minimize_gauge.
+
+    Returns (rotation array, its gauged connection, energy, criticality,
+    iterations), so a caller can complete the pair without gauging the
+    final rotation again.
+    """
     if omega.k != 1:
         raise ValueError("connection must be a 1-form")
     grid = omega.grid
@@ -180,8 +194,7 @@ def minimize_gauge(omega: MatrixForm, tol: float | None = None,
         residual = forms.l2_norm(crit)
         trace.append((energy, residual))
         if residual <= tol:
-            return GaugePair(MatrixForm(grid, 0, pointwise[None]), None,
-                             GaugeDiagnostics(energy, residual, iteration))
+            return pointwise, gauged, energy, residual, iteration
         if iteration == max_iter:
             raise GaugeConvergenceError(
                 f"gauge descent reached {max_iter} iterations with criticality "
@@ -222,13 +235,21 @@ def extract_xi(P: MatrixForm, omega: MatrixForm, iterations: int = 0) -> GaugePa
     total representation residual are reported in the diagnostics.
     """
     grid = omega.grid
-    gauged = MatrixForm(grid, 1, _gauged_connection(P.coeffs[0], omega))
-    energy = _energy(gauged.coeffs, grid)
-    criticality = forms.l2_norm(forms.codifferential(gauged))
+    gauged = _gauged_connection(P.coeffs[0], omega)
+    criticality = forms.l2_norm(forms.codifferential(MatrixForm(grid, 1, gauged)))
+    return _complete(P, omega, gauged, _energy(gauged, grid), criticality, iterations)
+
+
+def _complete(P: MatrixForm, omega: MatrixForm, gauged: np.ndarray, energy: float,
+              criticality: float, iterations: int) -> GaugePair:
+    """extract_xi from the gauged connection of P and its energy and criticality."""
+    grid = omega.grid
+    gauged = MatrixForm(grid, 1, gauged)
     harmonic = forms.l2_norm(forms.harmonic_part(gauged))
     xi_raw = forms.exterior_derivative(forms.solve_poisson(gauged))
-    defect = xi_raw.antisymmetry_defect()
-    _log.debug("potential antisymmetry defect %.3e removed", defect)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("potential antisymmetry defect %.3e removed",
+                   xi_raw.antisymmetry_defect())
     coeffs = 0.5 * (xi_raw.coeffs - np.swapaxes(xi_raw.coeffs, -1, -2))
     xi = MatrixForm(grid, 2, coeffs)
     representation = forms.l2_norm(forms.codifferential(xi) - gauged)
@@ -238,6 +259,12 @@ def extract_xi(P: MatrixForm, omega: MatrixForm, iterations: int = 0) -> GaugePa
 
 def coulomb_gauge(omega: MatrixForm, tol: float | None = None,
                   max_iter: int = 5000, preconditioned: bool = True) -> GaugePair:
-    """Minimize and extract in one call."""
-    partial = minimize_gauge(omega, tol, max_iter, preconditioned)
-    return extract_xi(partial.P, omega, partial.diagnostics.iterations)
+    """Minimize and extract in one call.
+
+    The descent's final gauged connection, energy and criticality complete
+    the pair, so the final rotation is gauged and checked once.
+    """
+    pointwise, gauged, energy, residual, iterations = _descend(
+        omega, tol, max_iter, preconditioned)
+    P = MatrixForm(omega.grid, 0, pointwise[None])
+    return _complete(P, omega, gauged, energy, residual, iterations)

@@ -199,7 +199,7 @@ def _verify_rows(ctx: _Context, residual, bounds) -> list:
             ("coordinate_gap", residual.coordinate_gap)]
     rows += [(f"budget_{name}", value) for name, value in residual.components]
     if ctx.map is not None:
-        sphere = verify.sphere_divergence_residual(ctx.map)
+        sphere = verify.sphere_divergence_residual(ctx.map, ctx.omega)
         rows += [("sphere_divergence_l2", sphere.l2),
                  ("sphere_divergence_sup", sphere.sup)]
     rows += [("rotation_distance_sup", bounds.rotation_distance_sup),

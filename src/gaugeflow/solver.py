@@ -182,6 +182,22 @@ class PicardMap:
                    forms.exterior_derivative(forms.hodge_star(gauge_pair.xi)))
 
 
+def _scale(arr: np.ndarray, weight: float) -> None:
+    """arr *= weight in place; a unit weight touches nothing."""
+    if weight != 1.0:
+        arr *= weight
+
+
+def _add_scaled(target: np.ndarray, term: np.ndarray, weight: float) -> None:
+    """target += weight * term in place, with no temporary for weight +-1."""
+    if weight == 1.0:
+        target += term
+    elif weight == -1.0:
+        target -= term
+    else:
+        target += weight * term
+
+
 def picard_step(state: PairState, pmap: PicardMap) -> PairState:
     """One application of the affine fixed-point map.
 
@@ -189,35 +205,54 @@ def picard_step(state: PairState, pmap: PicardMap) -> PairState:
     grid means vanish by exact discrete adjointness; a mean above 1e-8
     (relative above unit source size) indicates a broken coupling and
     raises rather than silently shifting the solution.
+
+    Each source is built in place and dropped once its Poisson solve has
+    run, and every full-size temporary goes as soon as it is consumed, so
+    the step's working set stays a few 2-forms.
     """
     grid = state.a.grid
     da = forms.exterior_derivative(state.a)
     d_star_b = forms.exterior_derivative(forms.hodge_star(state.b))
 
-    scalar_src = (SCALAR_GRADIENT_COUPLING
-                  * forms.hodge_star(forms.wedge(da, pmap.d_star_xi))
-                  + second_sign(grid.n)
-                  * forms.hodge_star(forms.wedge(d_star_b, pmap.dp)))
-    _check_source_mean(scalar_src, "0-form")
+    # Both wedges are top forms, whose star is their one component, sign +1.
+    scalar = forms._wedge_coeffs(da, pmap.d_star_xi)
+    _scale(scalar, SCALAR_GRADIENT_COUPLING)
+    _add_scaled(scalar, forms._wedge_coeffs(d_star_b, pmap.dp), second_sign(grid.n))
+    del d_star_b
+    a_new = _solve_source(MatrixForm(grid, 0, scalar), "0-form")
+    del scalar
 
+    two = forms._wedge_coeffs(da, forms.value_transpose(pmap.dp))
+    del da
+    _scale(two, TWO_FORM_JACOBIAN_COUPLING)
     a_tilde = state.a.coeffs[0] + np.eye(state.a.m)
-    transported = _rmul(_lmul(a_tilde, pmap.d_star_xi), pmap.pt)
-    two_src = (TWO_FORM_JACOBIAN_COUPLING * forms.wedge(da, forms.value_transpose(pmap.dp))
-               + TWO_FORM_TRANSPORT_COUPLING
-               * forms.hodge_star(forms.codifferential(transported)))
-    _check_source_mean(two_src, "2-form")
+    current = forms._codifferential_coeffs(
+        _rmul(_lmul(a_tilde, pmap.d_star_xi), pmap.pt))
+    # the star of the (n-2)-form current, added component by component
+    for ia, io, sign in forms._star_table(grid.n, grid.n - 2):
+        _add_scaled(two[io], current[ia], TWO_FORM_TRANSPORT_COUPLING * sign)
+    del current
+    b_new = _solve_source(MatrixForm(grid, 2, two), "2-form")
+    del two
+    return PairState(a_new, forms.project_closed(b_new))
 
-    a_new = forms.solve_poisson(scalar_src)
-    b_new = forms.project_closed(forms.solve_poisson(two_src))
-    return PairState(a_new, b_new)
+
+def _solve_source(src: MatrixForm, label: str) -> MatrixForm:
+    """Check a Poisson source's mean, then solve for it."""
+    _check_source_mean(src, label)
+    return forms.solve_poisson(src)
 
 
 def pair_residual(A: MatrixForm, B: MatrixForm, omega: MatrixForm):
     """L2 and sup norms of dA - A Omega + d*B."""
     if A.k != 0 or B.k != 2 or omega.k != 1:
         raise ValueError("need a 0-form, a 2-form and a 1-form connection")
-    r = (forms.exterior_derivative(A) - _lmul(A.coeffs[0], omega)
-         + forms.codifferential(B))
+    return _residual_norms(forms.exterior_derivative(A), A, B, omega)
+
+
+def _residual_norms(dA: MatrixForm, A: MatrixForm, B: MatrixForm, omega: MatrixForm):
+    """pair_residual with dA already taken."""
+    r = dA - _lmul(A.coeffs[0], omega) + forms.codifferential(B)
     return forms.l2_norm(r), float(forms.pointwise_norm(r).max())
 
 
@@ -327,7 +362,8 @@ def solve_pair(omega: MatrixForm, gauge_pair: GaugePair, tol: float = 1e-8,
             f"invertibility margin violated: min singular value {smallest:.3e} "
             f"< 1 - {sup_a:.3e}", [d.total for d in diffs])
 
-    res_l2, res_sup = pair_residual(A, B, omega)
+    dA = forms.exterior_derivative(A)
+    res_l2, res_sup = _residual_norms(dA, A, B, omega)
     report = SolveReport(
         iterations=len(diffs),
         iterate_norms=tuple(norms),
@@ -336,8 +372,9 @@ def solve_pair(omega: MatrixForm, gauge_pair: GaugePair, tol: float = 1e-8,
         kappa_bar=max(ratios) if ratios else 0.0,
         residual_l2=res_l2,
         residual_sup=res_sup,
-        da_n1=lorentz.lorentz_norm(forms.exterior_derivative(A), float(grid.n), 1.0),
-        db_n2=gradient_norm(B, 2.0),
+        da_n1=lorentz.lorentz_norm(dA, float(grid.n), 1.0),
+        # the last iterate norm is that of (a, B), so it holds B's gradient size
+        db_n2=norms[-1].db_n2,
         rotation_distance_sup=float(dist.max()) if not negdet.any() else float("nan"),
         negdet_points=int(negdet.sum()),
         omega_n2=size,

@@ -157,15 +157,17 @@ def conservation_residual(A: MatrixForm, B: MatrixForm, u: MapField,
     )
 
 
-def sphere_divergence_residual(u: MapField) -> ResidualReport:
+def sphere_divergence_residual(u: MapField,
+                               omega: MatrixForm | None = None) -> ResidualReport:
     """Divergence defect of the antisymmetric sphere currents u^i du^j - u^j du^i.
 
     The matrix holding all m(m-1)/2 currents (and their negates) is exactly
     the sphere connection, so the certificate is its coclosedness defect;
     the Frobenius aggregation counts both orientations of each pair, so the
-    norms are rescaled to count every unordered pair once.
+    norms are rescaled to count every unordered pair once.  A caller that
+    already holds connection.omega_sphere(u) passes it as omega.
     """
-    current = connection.omega_sphere(u)
+    current = connection.omega_sphere(u) if omega is None else omega
     residual = forms.codifferential(current)
     pair_once = 1.0 / np.sqrt(2.0)
     return ResidualReport(

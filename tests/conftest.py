@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,29 @@ settings.load_profile("suite")
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def _transient_peak(fn, *args) -> int:
+    """Bytes that fn(*args) allocates above what is live when it starts.
+
+    numpy reports its array allocations to tracemalloc, so the count does
+    not depend on the allocator or the host.  A first call fills the
+    cached matrices and symbols.
+    """
+    fn(*args)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def transient_peak():
+    return _transient_peak
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

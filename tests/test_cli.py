@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gaugeflow
-from gaugeflow import cli, fieldio, forms, maps, pipeline, synth, verify
+from gaugeflow import cli, connection, fieldio, forms, maps, pipeline, synth, verify
 
 SYNTHETIC = """\
 [grid]
@@ -171,6 +171,22 @@ class TestCommands:
         assert len({id(values) for values in maps_seen}) == len(maps_seen)
         # the initial map and every flow trial, the final map among them
         assert len(maps_seen) == len(energies) - 1
+
+
+    def test_verify_builds_the_sphere_connection_once(self, heatflow_ini, tmp_path,
+                                                     monkeypatch):
+        # The sphere-divergence certificate reads the Omega the context holds.
+        build = connection.omega_sphere
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return build(u)
+
+        monkeypatch.setattr(connection, "omega_sphere", counted)
+        assert cli.main(["verify", "--config", str(heatflow_ini),
+                         "--out", str(tmp_path / "run")]) == 0
+        assert len(calls) == 1
 
 
 class TestDeterminism:

@@ -158,6 +158,41 @@ class TestMinimize:
         assert pair.diagnostics.iterations > 0
         assert counts["gauged"] == 1 + counts["so_exp"]
 
+    def test_coulomb_gauge_gauges_and_checks_the_final_rotation_once(self, monkeypatch):
+        # The descent hands its final gauged connection and criticality to
+        # the extraction, and the completed pair is the one that checks P.
+        grid = Grid(3, 16)
+        omega = synth.synthetic_connection(grid, 3, np.random.default_rng(12), kmax=2,
+                                           exact_frac=0.5, target_norm=0.05)
+        counts = {"gauged": 0, "so_exp": 0, "orthogonality": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name, attr in (("gauged", "_gauged_connection"), ("so_exp", "so_exp"),
+                           ("orthogonality", "_orthogonality_defect")):
+            monkeypatch.setattr(gauge, attr, counting(name, getattr(gauge, attr)))
+        pair = gauge.coulomb_gauge(omega)
+        assert pair.diagnostics.iterations > 0
+        # one per trial rotation, plus the start's connection and the
+        # completed pair's check of the final rotation
+        assert counts["gauged"] == 1 + counts["so_exp"]
+        assert counts["orthogonality"] == 1 + counts["so_exp"]
+
+    def test_coulomb_gauge_matches_minimize_then_extract(self):
+        grid = Grid(3, 16)
+        omega = synth.synthetic_connection(grid, 3, np.random.default_rng(12), kmax=2,
+                                           exact_frac=0.5, target_norm=0.05)
+        partial = gauge.minimize_gauge(omega)
+        separate = gauge.extract_xi(partial.P, omega, partial.diagnostics.iterations)
+        joint = gauge.coulomb_gauge(omega)
+        assert joint.diagnostics == separate.diagnostics
+        assert np.array_equal(joint.P.coeffs, separate.P.coeffs)
+        assert np.array_equal(joint.xi.coeffs, separate.xi.coeffs)
+
     def test_iteration_cap_raises_with_trace(self):
         grid = Grid(3, 16)
         rng = np.random.default_rng(12)

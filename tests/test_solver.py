@@ -175,6 +175,17 @@ class TestPicardStep:
         solver.measure_contraction(pair, np.random.default_rng(3))
         assert len(seen) == 1
 
+    def test_working_set(self, grid, mixed_setup, transient_peak):
+        # Sources are built in place and every temporary is dropped once
+        # consumed: the step's peak above its inputs, its result included,
+        # stays within six 2-forms (eight and a third when each stage held
+        # its temporaries to the end of the step).
+        _, pair = mixed_setup
+        pmap = solver.PicardMap.of(pair)
+        state = solver.random_state(grid, 3, np.random.default_rng(7))
+        peak = transient_peak(solver.picard_step, state, pmap)
+        assert peak <= 6.0 * state.b.coeffs.nbytes
+
     def test_contraction_ratio_small(self, grid, coexact_setup):
         _, pair = coexact_setup
         kappa = solver.measure_contraction(pair, np.random.default_rng(3))
@@ -312,6 +323,30 @@ class TestSolvePair:
         assert main == report.iterations and probe >= 1
         assert len(report.iterate_norms) == main + 1
         assert len(norms) == 2 * main + probe + 3
+
+    def test_report_reuses_the_solve_derivatives(self, grid, mixed_setup, monkeypatch):
+        # The residual and da_n1 share one dA, and db_n2 is the last iterate
+        # norm's gradient size: one gradient per state norm and no more.
+        omega, pair = mixed_setup
+        d, grad = forms.exterior_derivative, solver.gradient_norm
+        zero_forms, gradients = [], []
+
+        def counted_d(form):
+            if form.k == 0:
+                zero_forms.append(form)
+            return d(form)
+
+        def counted_grad(form, q):
+            gradients.append(form)
+            return grad(form, q)
+
+        monkeypatch.setattr(forms, "exterior_derivative", counted_d)
+        monkeypatch.setattr(solver, "gradient_norm", counted_grad)
+        A, B, report = solver.solve_pair(omega, pair, probe_seed=None)
+        assert sum(form is A for form in zero_forms) == 1
+        assert len(gradients) == 1 + 2 * report.iterations
+        assert report.db_n2 == grad(B, 2.0)
+        assert report.da_n1 == lorentz.lorentz_norm(d(A), 3.0, 1.0)
 
     def test_incomplete_pair_rejected(self, grid):
         # The missing potential is reported before the regime guard, which a
