@@ -131,12 +131,47 @@ def _lines(arr: np.ndarray, axis: int, res: int) -> np.ndarray:
     return arr.reshape(math.prod(arr.shape[:axis]), res, -1)
 
 
+def _differentiate_into(arr: np.ndarray, axis: int, res: int, matrix: np.ndarray,
+                        work: np.ndarray, out: np.ndarray) -> None:
+    """out = matrix applied along `axis` of arr: one batched matmul.
+
+    work and out have arr's shape.  D's rows sum to zero only up to
+    rounding; differentiating each line minus its first sample, formed in
+    work, keeps constants exactly flat.
+    """
+    lines = _lines(arr, axis, res)
+    flat = work.reshape(lines.shape)
+    np.subtract(lines, lines[:, :1], out=flat)
+    np.matmul(matrix, flat, out=_lines(out, axis, res))
+
+
 def _spectral_axis_derivative(arr: np.ndarray, axis: int, res: int) -> np.ndarray:
     """d/dx_axis of arr: one batched matmul by the differentiation matrix."""
-    lines = _lines(arr, axis, res)
-    # D's rows sum to zero only up to rounding; differentiating each line
-    # minus its first sample keeps constants exactly flat.
-    return (_derivative_matrix(res) @ (lines - lines[:, :1])).reshape(arr.shape)
+    out = np.empty(arr.shape)
+    _differentiate_into(arr, axis, res, _derivative_matrix(res), np.empty(arr.shape), out)
+    return out
+
+
+def _gradient_sq(components, n: int, res: int) -> np.ndarray:
+    """Pointwise sum of squares of every first partial of every component.
+
+    `components` yields coefficient components, spatial axes first, one at
+    a time.  Each partial goes through one reused work array and one reused
+    partial array, so two components' worth is live beside the sum.
+    """
+    matrix = _derivative_matrix(res)
+    total = work = part = None
+    for comp in components:
+        if work is None:
+            work, part = np.empty(comp.shape), np.empty(comp.shape)
+        for axis in range(n):
+            _differentiate_into(comp, axis, res, matrix, work, part)
+            square = _pointwise_sq(part, 0, n)
+            if total is None:
+                total = square
+            else:
+                total += square
+    return total
 
 
 def _partials(arr: np.ndarray, first: int, n: int, res: int):
@@ -290,34 +325,46 @@ def _deriv_table(n: int, k: int) -> tuple:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _by_output(table: tuple) -> tuple:
+    """A (comp_in, axis, comp_out, sign) table as (comp_out, terms) groups in
+    order of first appearance; each group's (comp_in, axis, sign) terms keep
+    the table's order."""
+    groups = {}
+    for ia, axis, io, sign in table:
+        groups.setdefault(io, []).append((ia, axis, sign))
+    return tuple((io, tuple(terms)) for io, terms in groups.items())
+
+
+def _sum_partials(coeffs: np.ndarray, terms: tuple, res: int, target: np.ndarray,
+                  work: np.ndarray, prod: np.ndarray | None) -> None:
+    """target = the sum of sign * d/dx_axis coeffs[comp_in] over the terms.
+
+    The first term is a matmul straight into target; later ones go through
+    prod, one component's size like work, and are added.
+    """
+    matrices = {1.0: _derivative_matrix(res), -1.0: _negated_derivative_matrix(res)}
+    for j, (ia, axis, sign) in enumerate(terms):
+        _differentiate_into(coeffs[ia], axis, res, matrices[sign], work,
+                            prod if j else target)
+        if j:
+            target += prod
+
+
 def _apply_derivative_table(coeffs: np.ndarray, table: tuple, nout: int,
                             res: int) -> np.ndarray:
     """Sum the signed partials of a (comp_in, axis, comp_out, sign) table.
 
-    Each line is differentiated minus its first sample, which keeps constants
-    exactly flat, through one reused work array; an output component's first
-    term is a matmul straight into it, later ones go through one reused
-    product array and are added.  Each (component, axis) pair enters once.
+    One reused work array and, where an output has several terms, one
+    reused product array serve every term.  Each (component, axis) pair
+    enters once.
     """
+    groups = _by_output(table)
     out = np.empty((nout,) + coeffs.shape[1:])
     work = np.empty(coeffs.shape[1:])
-    prod = None
-    matrices = {1.0: _derivative_matrix(res), -1.0: _negated_derivative_matrix(res)}
-    written = set()
-    for ia, axis, io, sign in table:
-        lines = _lines(coeffs[ia], axis, res)
-        flat = work.reshape(lines.shape)
-        np.subtract(lines, lines[:, :1], out=flat)
-        target = _lines(out[io], axis, res)
-        if io in written:
-            if prod is None:
-                prod = np.empty_like(work)
-            scratch = prod.reshape(lines.shape)
-            np.matmul(matrices[sign], flat, out=scratch)
-            target += scratch
-        else:
-            np.matmul(matrices[sign], flat, out=target)
-            written.add(io)
+    prod = np.empty_like(work) if any(len(terms) > 1 for _, terms in groups) else None
+    for io, terms in groups:
+        _sum_partials(coeffs, terms, res, out[io], work, prod)
     return out
 
 
@@ -353,21 +400,37 @@ def hodge_star(form):
 
 
 @lru_cache(maxsize=None)
-def _codiff_table(n: int, k: int) -> tuple:
-    # d* = (-1)^(n(k+1)+1) * d * on k-forms as one table: each entry of d on
-    # (n-k)-forms, read through the star of its input, in d's order, so every
-    # output sums its terms as * d * does.  The output star's sign and d*'s
-    # own sign come after the sum, as in * d *, so even a zero keeps its
-    # sign; `negated` lists the outputs they flip.
-    sign = -1.0 if (n * (k + 1) + 1) % 2 else 1.0
+def _d_star_table(n: int, k: int) -> tuple:
+    # d * on k-forms as one table: each entry of d on (n-k)-forms, read
+    # through the star of its input, in d's order, so every output sums its
+    # terms as d does on the starred form.
     star_in = {io: (ia, s) for ia, io, s in _star_table(n, k)}
-    star_out = {ia: (io, s) for ia, io, s in _star_table(n, n - k + 1)}
     table = []
     for ia, axis, io, s in _deriv_table(n, n - k):
         src, s_in = star_in[ia]
-        table.append((src, axis, star_out[io][0], s_in * s))
+        table.append((src, axis, io, s_in * s))
+    return tuple(table)
+
+
+def _d_star_coeffs(form) -> np.ndarray:
+    """Coefficients of d(* form) in a fresh array, with no copy of * form."""
+    n, k = form.grid.n, form.k
+    return _apply_derivative_table(form.coeffs, _d_star_table(n, k),
+                                   len(components(n, n - k + 1)), form.grid.res)
+
+
+@lru_cache(maxsize=None)
+def _codiff_table(n: int, k: int) -> tuple:
+    # d* = (-1)^(n(k+1)+1) * d * on k-forms as one table: d * relabelled by
+    # the output star.  The output star's sign and d*'s own sign come after
+    # the sum, as in * d *, so even a zero keeps its sign; `negated` lists
+    # the outputs they flip.
+    sign = -1.0 if (n * (k + 1) + 1) % 2 else 1.0
+    star_out = {ia: (io, s) for ia, io, s in _star_table(n, n - k + 1)}
+    table = tuple((src, axis, star_out[io][0], s)
+                  for src, axis, io, s in _d_star_table(n, k))
     negated = tuple(io for io, s_out in star_out.values() if sign * s_out < 0)
-    return tuple(table), negated
+    return table, negated
 
 
 def codifferential(form):
@@ -386,6 +449,38 @@ def _codifferential_coeffs(form) -> np.ndarray:
     for io in negated:
         np.negative(out[io], out=out[io])
     return out
+
+
+def _add_scaled(target: np.ndarray, term: np.ndarray, weight: float) -> None:
+    """target += weight * term in place, with no temporary for weight +-1."""
+    if weight == 1.0:
+        target += term
+    elif weight == -1.0:
+        target -= term
+    else:
+        target += weight * term
+
+
+def _add_star_codifferential(target: np.ndarray, coeffs: np.ndarray, n: int, k: int,
+                             res: int, weight: float) -> None:
+    """target += weight * (* d* form) for the k-form with these coefficients.
+
+    Each component of d* form is summed in one reused component array, in
+    codifferential's order and with its sign, and added into the component
+    the star sends it to; d* form is never held whole.
+    """
+    table, negated = _codiff_table(n, k)
+    star = {ia: (io, s) for ia, io, s in _star_table(n, k - 1)}
+    groups = _by_output(table)
+    comp = np.empty(coeffs.shape[1:])
+    work = np.empty_like(comp)
+    prod = np.empty_like(comp) if any(len(terms) > 1 for _, terms in groups) else None
+    for io, terms in groups:
+        _sum_partials(coeffs, terms, res, comp, work, prod)
+        if io in negated:
+            np.negative(comp, out=comp)
+        out, sign = star[io]
+        _add_scaled(target[out], comp, weight * sign)
 
 
 @lru_cache(maxsize=None)
@@ -420,21 +515,45 @@ def wedge(a: MatrixForm, b):
     return b._like(_wedge_coeffs(a, b), a.k + b.k)
 
 
-def _wedge_coeffs(a: MatrixForm, b) -> np.ndarray:
-    """Coefficients of a ^ b in a fresh, writable array."""
+def _wedge_coeffs(a: MatrixForm, b, transpose_right: bool = False) -> np.ndarray:
+    """Coefficients of a ^ b in a fresh, writable array.
+
+    Each output's first term is a product straight into it, later ones go
+    through one reused product array.  Matrix times vector runs on einsum,
+    which beats a batched matmul by a column at these shapes.  With
+    transpose_right, b's matrix values enter transposed: each term copies
+    one component of b^T into a reused contiguous array, so b^T is never
+    held whole and no product takes a transposed view.
+    """
     matvec = isinstance(b, VectorForm)
     nout = len(components(a.grid.n, a.k + b.k))
-    out = np.zeros((nout,) + b.coeffs.shape[1:])
+    out = np.empty((nout,) + b.coeffs.shape[1:])
+    prod = None
+    flipped = np.empty(b.coeffs.shape[1:]) if transpose_right else None
+    written = set()
     for ia, ib, io, sign in _wedge_table(a.grid.n, a.k, b.k):
         left, right = a.coeffs[ia], b.coeffs[ib]
+        if transpose_right:
+            np.copyto(flipped, np.swapaxes(right, -1, -2))
+            right = flipped
+        first = io not in written
+        if not first and prod is None:
+            prod = np.empty(out.shape[1:])
+        target = out[io] if first else prod
         if matvec:
-            prod = (left @ right[..., None])[..., 0]
+            np.einsum("...ij,...j->...i", left, right, out=target)
         else:
-            prod = left @ right
-        if sign > 0:
-            out[io] += prod
+            np.matmul(left, right, out=target)
+        if first:
+            # 0 + p or 0 - p, as a sum into zeros gives it, down to the
+            # sign of a zero entry
+            if sign > 0:
+                target += 0.0
+            else:
+                np.subtract(0.0, target, out=target)
+            written.add(io)
         else:
-            out[io] -= prod
+            _add_scaled(out[io], prod, sign)
     return out
 
 
@@ -459,11 +578,14 @@ def _poisson_symbol(n: int, res: int) -> np.ndarray:
     return inv
 
 
-def _apply_symbol(arr: np.ndarray, sym: np.ndarray, first: int) -> np.ndarray:
+def _apply_symbol(arr: np.ndarray, sym: np.ndarray, first: int,
+                  overwrite: bool = False) -> np.ndarray:
     """Every coefficient of arr through a symbol on the real Fourier basis.
 
     The sym.ndim spatial axes of arr start at `first`.  Each axis takes one
     batched matmul into the basis and, after the pointwise symbol, one back.
+    With overwrite, arr itself is one of the two work buffers and holds the
+    result.
     """
     n, res = sym.ndim, sym.shape[0]
     basis = _fourier_basis(res)[0]
@@ -473,7 +595,12 @@ def _apply_symbol(arr: np.ndarray, sym: np.ndarray, first: int) -> np.ndarray:
     start = arr[(slice(None),) * first + (slice(0, 1),) * n]
     # Each matmul reads one buffer and writes the other, so two full-size
     # arrays serve all 2n of them; after an even count `coef` holds the result.
-    coef = arr - start
+    if overwrite:
+        start = start.copy()
+        coef = arr
+        coef -= start
+    else:
+        coef = arr - start
     spare = np.empty_like(coef)
     for mat in (basis, basis.T):
         for axis in range(first, first + n):
@@ -506,10 +633,20 @@ def solve_poisson(form, zero_mean: bool = False):
     return form._like(_apply_symbol(form.coeffs, sym, 1))
 
 
+def _solve_poisson_in_place(coeffs: np.ndarray, n: int, res: int) -> np.ndarray:
+    """solve_poisson on a writable coefficient array, which holds the result."""
+    return _apply_symbol(coeffs, _poisson_symbol(n, res), 1, overwrite=True)
+
+
 def project_closed(form):
-    """Hodge projection onto closed forms: identity minus d* (-lap)^-1 d."""
-    if not 1 <= form.k <= form.grid.n - 1:
-        raise ValueError("projection needs 1 <= k <= n-1")
+    """Hodge projection onto closed forms: identity minus d* (-lap)^-1 d.
+
+    A top-degree form is closed by degree, so its projection is itself.
+    """
+    if not 1 <= form.k <= form.grid.n:
+        raise ValueError("projection needs 1 <= k <= n")
+    if form.k == form.grid.n:
+        return form
     out = _codifferential_coeffs(solve_poisson(exterior_derivative(form)))
     np.subtract(form.coeffs, out, out=out)
     return form._like(out)

@@ -106,16 +106,20 @@ def _orthogonality_defect(pointwise: np.ndarray) -> float:
     return float(np.abs(gram - np.eye(m)).max())
 
 
-def _polar(pointwise: np.ndarray):
-    """Nearest orthogonal matrix at each point, and the singular values."""
-    u, sigma, vh = np.linalg.svd(pointwise)
-    return u @ vh, sigma
+def _polar(pointwise: np.ndarray) -> np.ndarray:
+    """Nearest orthogonal matrix at each point."""
+    u, _, vh = np.linalg.svd(pointwise)
+    return u @ vh
 
 
 def _rotation_distance(pointwise: np.ndarray):
-    """rotation_distance plus the singular values of its polar decomposition."""
-    nearest, sigma = _polar(pointwise)
-    dist = np.sqrt(forms._pointwise_sq(pointwise - nearest, 0, pointwise.ndim - 2))
+    """rotation_distance plus the singular values of each matrix.
+
+    With A = U S V^T the polar factor is U V^T and A - U V^T = U (S - I) V^T,
+    so the distance is the l2 size of S - I: no singular vectors are taken.
+    """
+    sigma = np.linalg.svd(pointwise, compute_uv=False)
+    dist = np.sqrt(forms._pointwise_sq(sigma - 1.0, 0, sigma.ndim - 1))
     return dist, np.linalg.det(pointwise) <= 0, sigma
 
 
@@ -210,7 +214,7 @@ def _descend(omega: MatrixForm, tol: float | None, max_iter: int,
             step = so_exp(tau * eta)
             candidate = pointwise @ step
             if _orthogonality_defect(candidate) > REPROJECT_TOL:
-                candidate = _polar(candidate)[0]
+                candidate = _polar(candidate)
             trial = _gauged_connection(candidate, omega)
             trial_energy = _energy(trial, grid)
             # strict decrease too: an exact no-op step would otherwise tie

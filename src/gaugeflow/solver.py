@@ -71,10 +71,6 @@ def _lmul(mat: np.ndarray, form: MatrixForm) -> MatrixForm:
     return form._like(mat @ form.coeffs)
 
 
-def _rmul(form: MatrixForm, mat: np.ndarray) -> MatrixForm:
-    return form._like(form.coeffs @ mat)
-
-
 @dataclass(frozen=True, eq=False)
 class PairState:
     """Scalar-block 0-form a and closed 2-form b of the fixed-point iteration."""
@@ -87,6 +83,8 @@ class PairState:
             raise ValueError("state must hold a 0-form and a 2-form")
         if self.a.grid != self.b.grid or self.a.m != self.b.m:
             raise ValueError("state blocks are incompatible")
+        if self.b.k == self.b.grid.n:
+            return  # a top-degree form is closed by degree
         # Relative above unit size so rounding dust never trips on large data.
         closed_defect = forms.l2_norm(forms.exterior_derivative(self.b))
         if closed_defect > CLOSED_TOL * max(1.0, forms.l2_norm(self.b)):
@@ -117,21 +115,57 @@ class StateNorm:
         assert self.total == self.sup_a + self.da_n2 + self.db_n2
 
 
-def gradient_norm(form: MatrixForm, q: float) -> float:
-    """Lorentz L^{n,q} norm of the full first-derivative of a form."""
-    grid = form.grid
-    magnitude = np.sqrt(sum(forms._pointwise_sq(part, 1, grid.n) for part in
-                            forms._partials(form.coeffs, 1, grid.n, grid.res)))
-    return lorentz.lorentz_norm(magnitude, float(grid.n), q)
+def _block_components(block):
+    """A block's coefficient components, one at a time.
+
+    A (new, old) pair of forms yields new - old, component by component,
+    in one reused array.
+    """
+    if not isinstance(block, tuple):
+        yield from block.coeffs
+        return
+    new, old = block
+    diff = np.empty(new.coeffs.shape[1:])
+    for new_comp, old_comp in zip(new.coeffs, old.coeffs):
+        np.subtract(new_comp, old_comp, out=diff)
+        yield diff
 
 
-def state_norm(a: MatrixForm, b: MatrixForm) -> StateNorm:
-    """Norm of the state with blocks (a, b); differences pass their blocks."""
-    n = float(a.grid.n)
-    sup_a = forms.sup_norm(a)
-    da = lorentz.lorentz_norm(forms.exterior_derivative(a), n, 2.0)
+def _gradient_size(components, grid: Grid, q: float) -> float:
+    """Lorentz L^{n,q} norm of the full first derivative of these components."""
+    square = forms._gradient_sq(components, grid.n, grid.res)
+    return lorentz.lorentz_norm(np.sqrt(square, out=square), float(grid.n), q)
+
+
+def gradient_norm(form, q: float) -> float:
+    """Lorentz L^{n,q} norm of the full first derivative of a form.
+
+    A (new, old) pair of forms stands for their difference.  One partial of
+    one component is live at a time.
+    """
+    grid = (form[0] if isinstance(form, tuple) else form).grid
+    return _gradient_size(_block_components(form), grid, q)
+
+
+def state_norm(a, b) -> StateNorm:
+    """Norm of the state with blocks (a, b).
+
+    The norm of a difference of states passes each block as a (new, old)
+    pair (see _difference_norm): the 0-form's difference is formed whole,
+    the 2-form's one component at a time.
+    """
+    # b goes first, so the 0-form difference is not live beside its work
     db = gradient_norm(b, 2.0)
+    if isinstance(a, tuple):
+        a = a[0] - a[1]
+    sup_a = forms.sup_norm(a)
+    da = _gradient_size(a.coeffs, a.grid, 2.0)
     return StateNorm(sup_a, da, db, sup_a + da + db)
+
+
+def _difference_norm(new: PairState, old: PairState) -> StateNorm:
+    """state_norm of new - old, with no full-size difference block."""
+    return state_norm((new.a, old.a), (new.b, old.b))
 
 
 def random_state(grid: Grid, m: int, rng: np.random.Generator,
@@ -164,9 +198,9 @@ class PicardMap:
     """Gauge coefficients of the affine map: P^T, dP and d(star xi).
 
     P^T is a contiguous copy, since batched products with a transposed view
-    as right operand take numpy's slow path.  dP^T is not held: each step
-    copies it out of dP, while a held copy would stay alive through the
-    whole solve and raise its peak memory.
+    as right operand take numpy's slow path.  dP^T is not held: each step's
+    wedge copies it out of dP one component at a time, while a held copy
+    would stay alive through the whole solve and raise its peak memory.
     """
 
     pt: np.ndarray
@@ -188,14 +222,15 @@ def _scale(arr: np.ndarray, weight: float) -> None:
         arr *= weight
 
 
-def _add_scaled(target: np.ndarray, term: np.ndarray, weight: float) -> None:
-    """target += weight * term in place, with no temporary for weight +-1."""
-    if weight == 1.0:
-        target += term
-    elif weight == -1.0:
-        target -= term
-    else:
-        target += weight * term
+def _transported_current(a_tilde: np.ndarray, pmap: PicardMap) -> np.ndarray:
+    """(id + a) d(star xi) P^T, built one component at a time into one array."""
+    d_star_xi = pmap.d_star_xi.coeffs
+    out = np.empty(d_star_xi.shape)
+    left = np.empty(d_star_xi.shape[1:])
+    for comp, target in zip(d_star_xi, out):
+        np.matmul(a_tilde, comp, out=left)
+        np.matmul(left, pmap.pt, out=target)
+    return out
 
 
 def picard_step(state: PairState, pmap: PicardMap) -> PairState:
@@ -206,41 +241,44 @@ def picard_step(state: PairState, pmap: PicardMap) -> PairState:
     (relative above unit source size) indicates a broken coupling and
     raises rather than silently shifting the solution.
 
-    Each source is built in place and dropped once its Poisson solve has
-    run, and every full-size temporary goes as soon as it is consumed, so
-    the step's working set stays a few 2-forms.
+    Each source is built in place, solved in its own array, and every
+    full-size temporary goes as soon as it is consumed, so the step's
+    working set stays a few 2-forms.  d(star b) and the starred
+    codifferential of the transported current run through the star and
+    derivative tables, with no copy of a starred form and no full-size
+    codifferential.
     """
     grid = state.a.grid
     da = forms.exterior_derivative(state.a)
-    d_star_b = forms.exterior_derivative(forms.hodge_star(state.b))
+    d_star_b = MatrixForm(grid, grid.n - 1, forms._d_star_coeffs(state.b))
 
     # Both wedges are top forms, whose star is their one component, sign +1.
     scalar = forms._wedge_coeffs(da, pmap.d_star_xi)
     _scale(scalar, SCALAR_GRADIENT_COUPLING)
-    _add_scaled(scalar, forms._wedge_coeffs(d_star_b, pmap.dp), second_sign(grid.n))
+    forms._add_scaled(scalar, forms._wedge_coeffs(d_star_b, pmap.dp), second_sign(grid.n))
     del d_star_b
-    a_new = _solve_source(MatrixForm(grid, 0, scalar), "0-form")
+    a_new = _solve_source(grid, 0, scalar, "0-form")
     del scalar
 
-    two = forms._wedge_coeffs(da, forms.value_transpose(pmap.dp))
+    two = forms._wedge_coeffs(da, pmap.dp, transpose_right=True)
     del da
     _scale(two, TWO_FORM_JACOBIAN_COUPLING)
     a_tilde = state.a.coeffs[0] + np.eye(state.a.m)
-    current = forms._codifferential_coeffs(
-        _rmul(_lmul(a_tilde, pmap.d_star_xi), pmap.pt))
-    # the star of the (n-2)-form current, added component by component
-    for ia, io, sign in forms._star_table(grid.n, grid.n - 2):
-        _add_scaled(two[io], current[ia], TWO_FORM_TRANSPORT_COUPLING * sign)
+    current = _transported_current(a_tilde, pmap)
+    del a_tilde
+    forms._add_star_codifferential(two, current, grid.n, grid.n - 1, grid.res,
+                                   TWO_FORM_TRANSPORT_COUPLING)
     del current
-    b_new = _solve_source(MatrixForm(grid, 2, two), "2-form")
+    b_new = _solve_source(grid, 2, two, "2-form")
     del two
     return PairState(a_new, forms.project_closed(b_new))
 
 
-def _solve_source(src: MatrixForm, label: str) -> MatrixForm:
-    """Check a Poisson source's mean, then solve for it."""
-    _check_source_mean(src, label)
-    return forms.solve_poisson(src)
+def _solve_source(grid: Grid, k: int, coeffs: np.ndarray, label: str) -> MatrixForm:
+    """Check a Poisson source's mean, then solve for it in its own array."""
+    # The check reads a frozen view; the array itself stays writable.
+    _check_source_mean(MatrixForm(grid, k, coeffs.view()), label)
+    return MatrixForm(grid, k, forms._solve_poisson_in_place(coeffs, grid.n, grid.res))
 
 
 def pair_residual(A: MatrixForm, B: MatrixForm, omega: MatrixForm):
@@ -281,21 +319,21 @@ class SolveReport:
     couplings_version: str
 
 
-def _iterate(pmap: PicardMap, start: PairState, tol: float, max_iter: int,
+def _iterate(pmap: PicardMap, state: PairState, tol: float, max_iter: int,
              keep_norms: bool = True):
-    """Run the fixed-point loop; returns (state, norms, diffs, ratios).
+    """Run the fixed-point loop from `state`; returns (state, norms, diffs, ratios).
 
     Without keep_norms the iterates' own norms are not taken and `norms`
-    comes back empty; the differences are always measured.
+    comes back empty; the differences are always measured.  Each iterate,
+    the start included, is dropped once the next one is measured.
     """
-    state = start
     norms = [state_norm(state.a, state.b)] if keep_norms else []
     diffs = []
     ratios = []
     hot = 0
     for _ in range(max_iter):
         new = picard_step(state, pmap)
-        diff = state_norm(new.a - state.a, new.b - state.b)
+        diff = _difference_norm(new, state)
         if diffs:
             ratio = diff.total / diffs[-1].total if diffs[-1].total > 0 else 0.0
             ratios.append(ratio)
@@ -341,9 +379,13 @@ def solve_pair(omega: MatrixForm, gauge_pair: GaugePair, tol: float = 1e-8,
 
     uniqueness_gap = None
     if probe_seed is not None:
-        start = random_state(grid, m, np.random.default_rng(probe_seed))
-        other, _, _, _ = _iterate(pmap, start, tol, max_iter, keep_norms=False)
-        uniqueness_gap = state_norm(other.a - state.a, other.b - state.b).total
+        # The probe's start goes straight to _iterate, which drops it after
+        # the first step; its fixed point goes once the gap is taken.
+        other, _, _, _ = _iterate(
+            pmap, random_state(grid, m, np.random.default_rng(probe_seed)),
+            tol, max_iter, keep_norms=False)
+        uniqueness_gap = _difference_norm(other, state).total
+        del other
         if uniqueness_gap > 10 * tol:
             raise SolverError(
                 f"uniqueness probe failed: fixed points differ by {uniqueness_gap:.3e} "
@@ -395,8 +437,8 @@ def measure_contraction(gauge_pair: GaugePair, rng: np.random.Generator,
     for _ in range(samples):
         s1 = random_state(grid, m, rng)
         s2 = random_state(grid, m, rng)
-        gap = state_norm(s1.a - s2.a, s1.b - s2.b).total
+        gap = _difference_norm(s1, s2).total
         t1, t2 = picard_step(s1, pmap), picard_step(s2, pmap)
-        image_gap = state_norm(t1.a - t2.a, t1.b - t2.b).total
+        image_gap = _difference_norm(t1, t2).total
         worst = max(worst, image_gap / gap)
     return worst

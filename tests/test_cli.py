@@ -118,6 +118,15 @@ class TestCommands:
         assert doc["bounds"] == dataclasses.asdict(table)
         assert table.negdet_points == 0 and table.ratio > 0.0
 
+    @pytest.mark.parametrize("config, extra", [("synthetic", CONTRACTING), ("heatflow", [])])
+    def test_verify_runs_in_two_dimensions(self, config, extra, synthetic_ini,
+                                           heatflow_ini, tmp_path):
+        ini = synthetic_ini if config == "synthetic" else heatflow_ini
+        out = tmp_path / "run"
+        assert cli.main(["verify", "--config", str(ini), "--set", "grid.n=2",
+                         *extra, "--out", str(out)]) == 0
+        assert fieldio.read_field(out / "b_field.f64").grid.n == 2
+
     def test_generate_reports_tension(self, heatflow_ini, tmp_path):
         out = tmp_path / "gen"
         assert cli.main(["generate", "--config", str(heatflow_ini),

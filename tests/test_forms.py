@@ -244,6 +244,42 @@ class TestWedge:
         out = wedge(hodge_star(MatrixForm.zeros(g, 2, 3)), du)
         assert l2_norm(out) == 0.0
 
+    @pytest.mark.parametrize("values", ["matrix", "vector"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_kernel_matches_the_per_term_formula(self, n, values):
+        # sum of sign * (a_I b_J) over the table, for every degree pair; a
+        # sum into zeros of the same products is matched bit for bit, signs
+        # of zero entries included
+        g = Grid(n, 8)
+        rng = np.random.default_rng(n)
+        vshape = (3, 3) if values == "matrix" else (3,)
+        cls = MatrixForm if values == "matrix" else VectorForm
+        spec = "...ij,...jk->...ik" if values == "matrix" else "...ij,...j->...i"
+        for p in range(n + 1):
+            for q in range(n + 1 - p):
+                a_coeffs = rng.standard_normal((len(components(n, p)),) + g.shape + (3, 3))
+                a_coeffs[..., 0, :] = -0.0
+                a = MatrixForm(g, p, a_coeffs)
+                b = cls(g, q, rng.standard_normal((len(components(n, q)),) + g.shape + vshape))
+                nout = len(components(n, p + q))
+                formula = np.zeros((nout,) + b.coeffs.shape[1:])
+                summed = np.zeros_like(formula)
+                for ia, ib, io, sign in forms._wedge_table(n, p, q):
+                    formula[io] += sign * np.einsum(spec, a.coeffs[ia], b.coeffs[ib])
+                    product = (np.matmul(a.coeffs[ia], b.coeffs[ib]) if values == "matrix"
+                               else np.einsum(spec, a.coeffs[ia], b.coeffs[ib]))
+                    if sign > 0:
+                        summed[io] += product
+                    else:
+                        summed[io] -= product
+                got = forms._wedge_coeffs(a, b)
+                assert np.abs(got - formula).max() <= 1e-14 * np.abs(formula).max()
+                assert np.array_equal(got.view(np.uint64), summed.view(np.uint64))
+                if values == "matrix":
+                    flipped = forms._wedge_coeffs(a, b, transpose_right=True)
+                    want = forms._wedge_coeffs(a, value_transpose(b))
+                    assert np.array_equal(flipped.view(np.uint64), want.view(np.uint64))
+
 
 class TestPoisson:
     def test_eigenfunction_oracle(self):
@@ -301,6 +337,12 @@ class TestProjectClosed:
         assert l2_norm(project_closed(MatrixForm.zeros(g, 1, 2))) == 0.0
         with pytest.raises(ValueError):
             project_closed(MatrixForm.zeros(g, 0, 2))
+
+    def test_top_degree_form_is_its_own_projection(self, rng):
+        # a top-degree form is closed by degree
+        for n in (2, 3):
+            top = synth.random_matrix_form(Grid(n, 8), n, 2, rng, kmax=2)
+            assert project_closed(top) is top
 
 
 class TestStructuralLaws:
@@ -549,6 +591,9 @@ class TestCodifferentialTable:
             assert got.k == k - 1
             assert np.array_equal(got.coeffs, want.coeffs)
             assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
+            d_star = exterior_derivative(hodge_star(form)).coeffs
+            assert np.array_equal(forms._d_star_coeffs(form).view(np.uint64),
+                                  d_star.view(np.uint64))
 
     def test_working_set_of_a_two_form(self, transient_peak):
         # The output plus one work and one product array of a component:

@@ -63,6 +63,26 @@ class TestSoExp:
         assert np.abs(np.swapaxes(got, -1, -2) @ got - np.eye(m)).max() <= 1e-14
 
 
+class TestRotationDistance:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_matches_the_polar_factor(self, m):
+        # |A - U V^T| from the full SVD, at points near rotations and at
+        # generic points, about half of which have negative determinant
+        rng = np.random.default_rng(m)
+        near = gauge.so_exp(rng.standard_normal((64, m, m)) - rng.standard_normal((64, m, m)))
+        near = near + 1e-3 * rng.standard_normal(near.shape)
+        pointwise = np.concatenate([near, rng.standard_normal((64, m, m))])
+        u, sigma, vh = np.linalg.svd(pointwise)
+        want = np.sqrt(((pointwise - u @ vh) ** 2).sum(axis=(-1, -2)))
+        negdet = np.linalg.det(pointwise) <= 0
+        assert 10 <= negdet.sum() <= 118
+        dist, got_negdet, got_sigma = gauge._rotation_distance(pointwise)
+        assert np.abs(dist - want).max() <= 1e-12
+        assert np.array_equal(got_negdet, negdet)
+        assert np.abs(got_sigma - sigma).max() <= 1e-12
+        assert np.array_equal(gauge.rotation_distance(pointwise)[0], dist)
+
+
 class TestGaugeEnergy:
     def test_identity_rotation_returns_l2_squared(self, rng):
         grid = Grid(3, 8)

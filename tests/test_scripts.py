@@ -2,7 +2,6 @@
 
 import csv
 import importlib.util
-import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -25,11 +24,3 @@ def test_contraction_sweep_records_regime_refusal(tmp_path):
     assert [float(row["epsilon"]) for row in rows] == [1e-2, 1.0]
     assert [row["status"] for row in rows] == ["ok", "outside contraction regime"]
     assert int(rows[0]["iterations"]) >= 1 and float(rows[0]["residual_l2"]) >= 0.0
-
-
-def test_refinement_study_writes_three_rungs(tmp_path):
-    out = tmp_path / "refinement"
-    study = load_script("refinement_study")
-    assert study.main(["--ladder", "8", "16", "32", "--band", "2", "--out", str(out)]) == 0
-    doc = json.loads((out / "study.json").read_text())
-    assert [res for res, _ in doc["residual"]["ladder"]] == [8, 16, 32]

@@ -74,6 +74,31 @@ class TestStateNorm:
         b = MatrixForm(grid, 2, np.broadcast_to(np.eye(2), shape).copy())
         assert solver.gradient_norm(b, 2.0) <= 1e-13
 
+    def test_difference_norm_matches_the_formed_difference(self, grid, mixed_setup):
+        # the two-state path forms the difference one component at a time;
+        # the blocks and the sums are the same up to summation order
+        _, pair = mixed_setup
+        s1 = solver.random_state(grid, 3, np.random.default_rng(7))
+        s2 = solver.picard_step(s1, solver.PicardMap.of(pair))
+        got = solver._difference_norm(s2, s1)
+        want = solver.state_norm(s2.a - s1.a, s2.b - s1.b)
+        assert got.sup_a == want.sup_a
+        assert got.da_n2 == pytest.approx(want.da_n2, rel=1e-14)
+        assert got.db_n2 == pytest.approx(want.db_n2, rel=1e-14)
+        assert solver.gradient_norm((s2.b, s1.b), 2.0) == got.db_n2
+
+    def test_working_set(self, grid, mixed_setup, transient_peak):
+        # One partial of one component is live at a time, and a difference
+        # of 2-form blocks is never held whole: a gradient norm stays within
+        # one 2-form (three when it took every partial of the whole form),
+        # a difference norm within one and a half.
+        _, pair = mixed_setup
+        s1 = solver.random_state(grid, 3, np.random.default_rng(7))
+        s2 = solver.picard_step(s1, solver.PicardMap.of(pair))
+        unit = s1.b.coeffs.nbytes
+        assert transient_peak(solver.gradient_norm, s1.b, 2.0) <= 1.0 * unit
+        assert transient_peak(solver._difference_norm, s2, s1) <= 1.5 * unit
+
 
 class TestPairState:
     def test_wrong_degrees(self, grid):
@@ -86,6 +111,12 @@ class TestPairState:
     def test_incompatible_blocks(self, grid):
         with pytest.raises(ValueError, match="incompatible"):
             PairState(MatrixForm.zeros(grid, 0, 3), MatrixForm.zeros(grid, 2, 2))
+
+    def test_top_degree_two_form_is_closed(self):
+        # in n = 2 the 2-form block is closed by degree; its d is not taken
+        grid = Grid(2, 16)
+        b = synth.random_matrix_form(grid, 2, 3, np.random.default_rng(0), 2)
+        assert PairState(MatrixForm.zeros(grid, 0, 3), b).b is b
 
     def test_open_two_form_rejected(self, grid):
         b = synth.random_matrix_form(grid, 2, 3, np.random.default_rng(0), 2)
@@ -176,15 +207,17 @@ class TestPicardStep:
         assert len(seen) == 1
 
     def test_working_set(self, grid, mixed_setup, transient_peak):
-        # Sources are built in place and every temporary is dropped once
-        # consumed: the step's peak above its inputs, its result included,
-        # stays within six 2-forms (eight and a third when each stage held
-        # its temporaries to the end of the step).
+        # Sources are built and solved in place, every temporary is dropped
+        # once consumed, and the transported current's starred
+        # codifferential is added one component at a time: the step's peak
+        # above its inputs, its result included, stays within three and a
+        # half 2-forms (4.4 with a full-size codifferential and a copy of
+        # dP^T, 8.3 when each stage held its temporaries to the end).
         _, pair = mixed_setup
         pmap = solver.PicardMap.of(pair)
         state = solver.random_state(grid, 3, np.random.default_rng(7))
         peak = transient_peak(solver.picard_step, state, pmap)
-        assert peak <= 6.0 * state.b.coeffs.nbytes
+        assert peak <= 3.5 * state.b.coeffs.nbytes
 
     def test_contraction_ratio_small(self, grid, coexact_setup):
         _, pair = coexact_setup
@@ -347,6 +380,29 @@ class TestSolvePair:
         assert len(gradients) == 1 + 2 * report.iterations
         assert report.db_n2 == grad(B, 2.0)
         assert report.da_n1 == lorentz.lorentz_norm(d(A), 3.0, 1.0)
+
+    def test_working_set(self, grid, mixed_setup, transient_peak):
+        # The probe's start goes after its first step and its fixed point
+        # after the gap, so the peak is the gauge coefficients, both runs'
+        # states and one step: within nine 2-forms (twelve before).
+        omega, pair = mixed_setup
+        peak = transient_peak(solver.solve_pair, omega, pair)
+        assert peak <= 9.0 * MatrixForm.zeros(grid, 2, 3).coeffs.nbytes
+
+    def test_two_dimensions(self):
+        # Riviere's base case: the 2-form block is top degree.  The pair
+        # residual is the torus obstruction -mean(A Omega), about the size
+        # of the gauge's harmonic part.
+        grid = Grid(2, 16)
+        omega = synth.synthetic_connection(
+            grid, 3, np.random.default_rng(5), kmax=2, exact_frac=0.5, target_norm=0.3)
+        A, B, report = solver.solve_pair(omega, gauge.coulomb_gauge(omega, tol=1e-5))
+        assert B.k == 2 == grid.n
+        assert report.iterations == 5
+        assert report.kappa_bar == pytest.approx(1.59e-2, rel=1e-2)
+        assert report.residual_l2 == pytest.approx(4.2166e-4, rel=1e-4)
+        assert report.residual_l2 <= report.harmonic_budget
+        assert report.uniqueness_gap <= 1e-10
 
     def test_incomplete_pair_rejected(self, grid):
         # The missing potential is reported before the regime guard, which a
