@@ -26,7 +26,7 @@ from gaugeflow.forms import Grid
 def sweep_point(grid: Grid, m: int, eps: float, seed: int, samples: int) -> dict:
     omega = synth.synthetic_connection(
         grid, m, np.random.default_rng(seed), kmax=2, target_norm=eps)
-    pair = gauge.coulomb_gauge(omega)
+    pair = gauge.minimize_gauge(omega)
     kappa = solver.measure_contraction(
         pair, np.random.default_rng(seed + 1), samples=samples)
     row = {"epsilon": eps, "kappa": kappa, "iterations": "", "residual_l2": "",

@@ -174,12 +174,6 @@ def _gradient_sq(components, n: int, res: int) -> np.ndarray:
     return total
 
 
-def _partials(arr: np.ndarray, first: int, n: int, res: int):
-    """The n spatial partials of arr, one at a time."""
-    for axis in range(first, first + n):
-        yield _spectral_axis_derivative(arr, axis, res)
-
-
 @lru_cache(maxsize=None)
 def components(n: int, k: int) -> tuple:
     """Increasing multi-indices of length k over axes 0..n-1, lexicographic."""
@@ -465,22 +459,20 @@ def _add_star_codifferential(target: np.ndarray, coeffs: np.ndarray, n: int, k: 
                              res: int, weight: float) -> None:
     """target += weight * (* d* form) for the k-form with these coefficients.
 
-    Each component of d* form is summed in one reused component array, in
-    codifferential's order and with its sign, and added into the component
-    the star sends it to; d* form is never held whole.
+    * d* = sigma d * on k-forms, with sigma = (-1)^(n(k+1)+1) from d* times
+    (-1)^((k-1)(n-k+1)) from * * on (n-k+1)-forms, so each component of
+    d * form is summed in one reused component array and added, times
+    weight * sigma, into the same component of target; d* form is never
+    held whole.
     """
-    table, negated = _codiff_table(n, k)
-    star = {ia: (io, s) for ia, io, s in _star_table(n, k - 1)}
-    groups = _by_output(table)
+    sigma = -1.0 if (n * (k + 1) + 1 + (k - 1) * (n - k + 1)) % 2 else 1.0
+    groups = _by_output(_d_star_table(n, k))
     comp = np.empty(coeffs.shape[1:])
     work = np.empty_like(comp)
     prod = np.empty_like(comp) if any(len(terms) > 1 for _, terms in groups) else None
     for io, terms in groups:
         _sum_partials(coeffs, terms, res, comp, work, prod)
-        if io in negated:
-            np.negative(comp, out=comp)
-        out, sign = star[io]
-        _add_scaled(target[out], comp, weight * sign)
+        _add_scaled(target[io], comp, weight * sigma)
 
 
 @lru_cache(maxsize=None)

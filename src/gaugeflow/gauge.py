@@ -30,7 +30,6 @@ __all__ = [
     "gauge_energy",
     "minimize_gauge",
     "extract_xi",
-    "coulomb_gauge",
 ]
 
 _log = logging.getLogger(__name__)
@@ -158,28 +157,17 @@ def gauge_energy(P: MatrixForm, omega: MatrixForm) -> float:
 
 def minimize_gauge(omega: MatrixForm, tol: float | None = None,
                    max_iter: int = 5000, preconditioned: bool = True) -> GaugePair:
-    """Riemannian gradient descent for the Coulomb gauge rotation.
+    """The Coulomb gauge pair of omega: descend to the rotation, then extract xi.
 
-    Updates P <- P exp(tau * eta) along the skew-valued direction eta, with
-    Armijo backtracking on tau; eta is the negative pointwise gradient
-    2 d*(Omega_P), optionally preconditioned by the inverse Laplacian (the
-    gradient has zero mean, so the preconditioner loses nothing).  Stops
-    when the criticality residual drops below tol.  The default tol is
-    relative to the L2 size of omega, so omega = 0 converges immediately.
-    """
-    pointwise, _, energy, residual, iterations = _descend(
-        omega, tol, max_iter, preconditioned)
-    return GaugePair(MatrixForm(omega.grid, 0, pointwise[None]), None,
-                     GaugeDiagnostics(energy, residual, iterations))
-
-
-def _descend(omega: MatrixForm, tol: float | None, max_iter: int,
-             preconditioned: bool) -> tuple:
-    """The descent of minimize_gauge.
-
-    Returns (rotation array, its gauged connection, energy, criticality,
-    iterations), so a caller can complete the pair without gauging the
-    final rotation again.
+    Riemannian gradient descent updates P <- P exp(tau * eta) along the
+    skew-valued direction eta, with Armijo backtracking on tau; eta is the
+    negative pointwise gradient 2 d*(Omega_P), optionally preconditioned by
+    the inverse Laplacian (the gradient has zero mean, so the preconditioner
+    loses nothing).  The descent stops when the criticality residual drops
+    below tol.  The default tol is relative to the L2 size of omega, so
+    omega = 0 converges immediately.  The final gauged connection, energy
+    and criticality complete the pair as extract_xi would, so the final
+    rotation is gauged and checked once.
     """
     if omega.k != 1:
         raise ValueError("connection must be a 1-form")
@@ -198,7 +186,11 @@ def _descend(omega: MatrixForm, tol: float | None, max_iter: int,
         residual = forms.l2_norm(crit)
         trace.append((energy, residual))
         if residual <= tol:
-            return pointwise, gauged, energy, residual, iteration
+            # The work arrays go before the completion allocates: held
+            # through it, they shift the heap and the solve stage's peak RSS.
+            crit = raw = grad = eta = step = None
+            P = MatrixForm(grid, 0, pointwise[None])
+            return _complete(P, omega, gauged, energy, residual, iteration)
         if iteration == max_iter:
             raise GaugeConvergenceError(
                 f"gauge descent reached {max_iter} iterations with criticality "
@@ -260,15 +252,3 @@ def _complete(P: MatrixForm, omega: MatrixForm, gauged: np.ndarray, energy: floa
     return GaugePair(P, xi, GaugeDiagnostics(
         energy, criticality, iterations, harmonic, representation))
 
-
-def coulomb_gauge(omega: MatrixForm, tol: float | None = None,
-                  max_iter: int = 5000, preconditioned: bool = True) -> GaugePair:
-    """Minimize and extract in one call.
-
-    The descent's final gauged connection, energy and criticality complete
-    the pair, so the final rotation is gauged and checked once.
-    """
-    pointwise, gauged, energy, residual, iterations = _descend(
-        omega, tol, max_iter, preconditioned)
-    P = MatrixForm(omega.grid, 0, pointwise[None])
-    return _complete(P, omega, gauged, energy, residual, iterations)

@@ -91,8 +91,8 @@ class _Context:
 
     @functools.cached_property
     def pair(self) -> gauge.GaugePair:
-        return gauge.coulomb_gauge(self.omega, tol=self.cfg.gauge_tol,
-                                   max_iter=self.cfg.gauge_max_iter)
+        return gauge.minimize_gauge(self.omega, tol=self.cfg.gauge_tol,
+                                    max_iter=self.cfg.gauge_max_iter)
 
     @functools.cached_property
     def solved(self) -> tuple:

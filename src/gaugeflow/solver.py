@@ -396,7 +396,8 @@ def solve_pair(omega: MatrixForm, gauge_pair: GaugePair, tol: float = 1e-8,
 
     # A = (id + a) P^T with P orthogonal, so A's singular values, taken by
     # the polar decomposition behind the rotation distance, are those of id + a.
-    sup_a = forms.sup_norm(state.a)
+    # The last iterate norm is that of the final state, so it holds sup |a|.
+    sup_a = norms[-1].sup_a
     dist, negdet, sigma = gauge._rotation_distance(A.coeffs[0])
     smallest = sigma.min()
     if smallest < 1.0 - sup_a - 1e-8:

@@ -89,19 +89,24 @@ def conservation_current(A: MatrixForm, B: MatrixForm, u: MapField) -> VectorFor
 
 
 def _coordinate_divergence(A: MatrixForm, B: MatrixForm, u: MapField) -> np.ndarray:
-    """Independent assembly: componentwise fluxes, then a plain divergence."""
+    """Independent assembly: componentwise fluxes, then a plain divergence.
+
+    The flux along axis g is A du_g + sign * sum_b B_gb du_b, read off B's
+    increasing components with B_bg = -B_gb; du is the map's one gradient.
+    """
     grid = A.grid
-    n, m = grid.n, A.m
-    partials = list(forms._partials(u.values, 0, n, grid.res))
-    btil = np.zeros((n, n) + grid.shape + (m, m))
-    for idx, (al, be) in enumerate(forms.components(n, 2)):
-        btil[al, be] = B.coeffs[idx]
-        btil[be, al] = -B.coeffs[idx]
-    divergence = np.zeros(grid.shape + (m,))
-    for gamma in range(n):
-        flux = np.einsum("...ij,...j->...i", A.coeffs[0], partials[gamma])
-        flux += solver.COORDINATE_FLUX_SIGN * np.einsum(
-            "b...ij,b...j->...i", btil[gamma], np.stack(partials))
+    du = u.gradient.coeffs
+    index = forms._component_index(grid.n, 2)
+    divergence = np.zeros(grid.shape + (A.m,))
+    for gamma in range(grid.n):
+        flux = np.einsum("...ij,...j->...i", A.coeffs[0], du[gamma])
+        for beta in range(grid.n):
+            if beta == gamma:
+                continue
+            sign = 1.0 if gamma < beta else -1.0
+            b = B.coeffs[index[(min(gamma, beta), max(gamma, beta))]]
+            forms._add_scaled(flux, np.einsum("...ij,...j->...i", b, du[beta]),
+                              sign * solver.COORDINATE_FLUX_SIGN)
         divergence += forms._spectral_axis_derivative(flux, gamma, grid.res)
     return divergence
 

@@ -139,10 +139,9 @@ def test_coulomb_gauge():
     grid = Grid(3, 32)
     omega = synth.synthetic_connection(
         grid, 3, np.random.default_rng(5), kmax=2, target_norm=1e-2)
-    partial = gauge.minimize_gauge(omega)
+    pair = gauge.minimize_gauge(omega)
     identity = MatrixForm.identity(grid, 3)
-    assert forms.sup_norm(partial.P - identity) <= 1e-6
-    pair = gauge.extract_xi(partial.P, omega)
+    assert forms.sup_norm(pair.P - identity) <= 1e-6
     assert pair.diagnostics.representation <= 1e-8
 
     rot = gauge.so_exp(np.array([[0.0, 0.4, -0.1],
@@ -150,7 +149,7 @@ def test_coulomb_gauge():
                                  [0.1, -0.3, 0.0]]))
     conjugated = MatrixForm(grid, 1, np.einsum(
         "ji,a...jk,kl->a...il", rot, omega.coeffs, rot))
-    gauged = gauge._gauged_connection(partial.P.coeffs[0], omega)
+    gauged = gauge._gauged_connection(pair.P.coeffs[0], omega)
     gauged_conj = gauge._gauged_connection(
         gauge.minimize_gauge(conjugated).P.coeffs[0], conjugated)
     expected = np.einsum("ji,a...jk,kl->a...il", rot, gauged, rot)
@@ -165,7 +164,7 @@ def test_contraction_regime():
     for eps in (1e-3, 1e-2):
         omega = synth.synthetic_connection(
             grid, 3, np.random.default_rng(5), kmax=2, target_norm=eps)
-        pair = gauge.coulomb_gauge(omega)
+        pair = gauge.minimize_gauge(omega)
         kappas.append(solver.measure_contraction(
             pair, np.random.default_rng(6), samples=3))
     assert all(kappa < 0.5 for kappa in kappas)
@@ -174,7 +173,7 @@ def test_contraction_regime():
     big = synth.synthetic_connection(
         grid, 3, np.random.default_rng(5), kmax=2, target_norm=1.0)
     with pytest.raises(solver.SolverError, match="outside contraction regime"):
-        solver.solve_pair(big, gauge.coulomb_gauge(big))
+        solver.solve_pair(big, gauge.minimize_gauge(big))
 
 
 @criterion("existence of the pair", budget=120.0)
@@ -186,7 +185,7 @@ def test_existence_of_the_pair():
     ratios = []
     for s in (0.25, 0.5, 1.0):
         omega = base * s
-        pair = gauge.coulomb_gauge(omega)
+        pair = gauge.minimize_gauge(omega)
         A, B, report = solver.solve_pair(omega, pair, tol=tol)
         assert report.residual_l2 <= 1e-6 + report.harmonic_budget
         assert report.uniqueness_gap <= 10 * tol

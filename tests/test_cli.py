@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gaugeflow
-from gaugeflow import cli, connection, fieldio, forms, maps, pipeline, synth, verify
+from gaugeflow import cli, connection, fieldio, forms, gauge, maps, pipeline, synth, verify
 
 SYNTHETIC = """\
 [grid]
@@ -194,6 +194,21 @@ class TestCommands:
 
         monkeypatch.setattr(connection, "omega_sphere", counted)
         assert cli.main(["verify", "--config", str(heatflow_ini),
+                         "--out", str(tmp_path / "run")]) == 0
+        assert len(calls) == 1
+
+    def test_verify_fixes_the_gauge_once(self, synthetic_ini, tmp_path, monkeypatch):
+        # One descent yields the completed pair, under the name the
+        # benchmark traces as the gauge layer.
+        minimize = gauge.minimize_gauge
+        calls = []
+
+        def counted(omega, **kwargs):
+            calls.append(omega)
+            return minimize(omega, **kwargs)
+
+        monkeypatch.setattr(gauge, "minimize_gauge", counted)
+        assert cli.main(["verify", "--config", str(synthetic_ini),
                          "--out", str(tmp_path / "run")]) == 0
         assert len(calls) == 1
 

@@ -178,7 +178,7 @@ class TestMinimize:
         assert pair.diagnostics.iterations > 0
         assert counts["gauged"] == 1 + counts["so_exp"]
 
-    def test_coulomb_gauge_gauges_and_checks_the_final_rotation_once(self, monkeypatch):
+    def test_gauges_and_checks_the_final_rotation_once(self, monkeypatch):
         # The descent hands its final gauged connection and criticality to
         # the extraction, and the completed pair is the one that checks P.
         grid = Grid(3, 16)
@@ -195,23 +195,25 @@ class TestMinimize:
         for name, attr in (("gauged", "_gauged_connection"), ("so_exp", "so_exp"),
                            ("orthogonality", "_orthogonality_defect")):
             monkeypatch.setattr(gauge, attr, counting(name, getattr(gauge, attr)))
-        pair = gauge.coulomb_gauge(omega)
+        pair = gauge.minimize_gauge(omega)
         assert pair.diagnostics.iterations > 0
         # one per trial rotation, plus the start's connection and the
         # completed pair's check of the final rotation
         assert counts["gauged"] == 1 + counts["so_exp"]
         assert counts["orthogonality"] == 1 + counts["so_exp"]
 
-    def test_coulomb_gauge_matches_minimize_then_extract(self):
+    def test_equals_extract_xi_of_its_own_rotation(self):
+        # Completing the pair from the descent's final state moves no bit
+        # against extracting the potential of the returned rotation afresh.
         grid = Grid(3, 16)
         omega = synth.synthetic_connection(grid, 3, np.random.default_rng(12), kmax=2,
                                            exact_frac=0.5, target_norm=0.05)
-        partial = gauge.minimize_gauge(omega)
-        separate = gauge.extract_xi(partial.P, omega, partial.diagnostics.iterations)
-        joint = gauge.coulomb_gauge(omega)
-        assert joint.diagnostics == separate.diagnostics
-        assert np.array_equal(joint.P.coeffs, separate.P.coeffs)
-        assert np.array_equal(joint.xi.coeffs, separate.xi.coeffs)
+        pair = gauge.minimize_gauge(omega)
+        assert pair.diagnostics.iterations > 0
+        separate = gauge.extract_xi(pair.P, omega, pair.diagnostics.iterations)
+        assert pair.diagnostics == separate.diagnostics
+        assert np.array_equal(pair.xi.coeffs.view(np.uint64),
+                              separate.xi.coeffs.view(np.uint64))
 
     def test_iteration_cap_raises_with_trace(self):
         grid = Grid(3, 16)
@@ -262,7 +264,7 @@ class TestExtractXi:
     def test_roundtrip_on_coexact_input(self, rng):
         grid = Grid(3, 16)
         omega = synth.synthetic_connection(grid, 3, rng, kmax=2, target_norm=1e-2)
-        pair = gauge.coulomb_gauge(omega)
+        pair = gauge.minimize_gauge(omega)
         back = forms.codifferential(pair.xi)
         assert forms.l2_norm(back - omega) <= 1e-8
         assert pair.xi.antisymmetry_defect() <= 1e-12
@@ -285,7 +287,7 @@ class TestExtractXi:
         shifted = omega.coeffs.copy()
         shifted[0] += const
         lifted = MatrixForm(grid, 1, shifted)
-        pair = gauge.coulomb_gauge(lifted)
+        pair = gauge.minimize_gauge(lifted)
         expected = np.sqrt((const ** 2).sum())
         assert pair.diagnostics.harmonic == pytest.approx(expected, rel=1e-10)
         assert pair.diagnostics.representation == pytest.approx(expected, rel=1e-6)

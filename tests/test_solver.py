@@ -19,6 +19,12 @@ def identity_pair(grid: Grid, m: int, xi: MatrixForm | None = None) -> gauge.Gau
     return gauge.GaugePair(p, xi, diag)
 
 
+def incomplete_pair(grid: Grid, m: int) -> gauge.GaugePair:
+    """The identity rotation with no potential extracted."""
+    p = identity_pair(grid, m).P
+    return gauge.GaugePair(p, None, gauge.GaugeDiagnostics(0.0, 0.0, 0))
+
+
 @pytest.fixture(scope="module")
 def grid():
     return Grid(3, 16)
@@ -28,14 +34,14 @@ def grid():
 def coexact_setup(grid):
     omega = synth.synthetic_connection(
         grid, 3, np.random.default_rng(5), kmax=2, exact_frac=0.0, target_norm=1e-2)
-    return omega, gauge.coulomb_gauge(omega)
+    return omega, gauge.minimize_gauge(omega)
 
 
 @pytest.fixture(scope="module")
 def mixed_setup(grid):
     omega = synth.synthetic_connection(
         grid, 3, np.random.default_rng(21), kmax=2, exact_frac=0.3, target_norm=1e-2)
-    return omega, gauge.coulomb_gauge(omega)
+    return omega, gauge.minimize_gauge(omega)
 
 
 class TestStateNorm:
@@ -156,8 +162,7 @@ class TestPicardStep:
         assert forms.l2_norm(image.b) <= 1e-15
 
     def test_incomplete_pair_rejected(self, grid):
-        partial = gauge.minimize_gauge(MatrixForm.zeros(grid, 1, 3))
-        assert partial.xi is None
+        partial = incomplete_pair(grid, 3)
         with pytest.raises(ValueError, match="incomplete"):
             solver.PicardMap.of(partial)
 
@@ -231,7 +236,7 @@ class TestPicardStep:
             omega = synth.synthetic_connection(
                 grid, 3, np.random.default_rng(11), kmax=2,
                 exact_frac=0.3, target_norm=size)
-            pair = gauge.coulomb_gauge(omega)
+            pair = gauge.minimize_gauge(omega)
             kappas.append(solver.measure_contraction(pair, np.random.default_rng(3)))
         assert kappas[0] < kappas[1] < 0.5
 
@@ -239,7 +244,7 @@ class TestPicardStep:
 class TestSolvePair:
     def test_zero_connection(self, grid):
         omega = MatrixForm.zeros(grid, 1, 3)
-        A, B, report = solver.solve_pair(omega, gauge.coulomb_gauge(omega))
+        A, B, report = solver.solve_pair(omega, gauge.minimize_gauge(omega))
         assert np.allclose(A.coeffs[0], np.eye(3), atol=1e-14)
         assert forms.l2_norm(B) == 0.0
         assert report.residual_l2 == 0.0
@@ -279,7 +284,7 @@ class TestSolvePair:
         ratios = []
         for s in (0.25, 0.5, 1.0):
             scaled = s * omega
-            pair = gauge.coulomb_gauge(scaled)
+            pair = gauge.minimize_gauge(scaled)
             _, _, report = solver.solve_pair(scaled, pair)
             size = lorentz.lorentz_norm(scaled, 3.0, 2.0)
             bound = (report.rotation_distance_sup + report.da_n1 + report.db_n2)
@@ -358,11 +363,12 @@ class TestSolvePair:
         assert len(norms) == 2 * main + probe + 3
 
     def test_report_reuses_the_solve_derivatives(self, grid, mixed_setup, monkeypatch):
-        # The residual and da_n1 share one dA, and db_n2 is the last iterate
-        # norm's gradient size: one gradient per state norm and no more.
+        # The residual and da_n1 share one dA, and db_n2 and sup_a are the
+        # last iterate norm's: one gradient and one sup per state norm and
+        # no more.
         omega, pair = mixed_setup
-        d, grad = forms.exterior_derivative, solver.gradient_norm
-        zero_forms, gradients = [], []
+        d, grad, sup = forms.exterior_derivative, solver.gradient_norm, forms.sup_norm
+        zero_forms, gradients, sups = [], [], []
 
         def counted_d(form):
             if form.k == 0:
@@ -373,11 +379,17 @@ class TestSolvePair:
             gradients.append(form)
             return grad(form, q)
 
+        def counted_sup(form):
+            sups.append(form)
+            return sup(form)
+
         monkeypatch.setattr(forms, "exterior_derivative", counted_d)
         monkeypatch.setattr(solver, "gradient_norm", counted_grad)
+        monkeypatch.setattr(forms, "sup_norm", counted_sup)
         A, B, report = solver.solve_pair(omega, pair, probe_seed=None)
         assert sum(form is A for form in zero_forms) == 1
         assert len(gradients) == 1 + 2 * report.iterations
+        assert len(sups) == 1 + 2 * report.iterations
         assert report.db_n2 == grad(B, 2.0)
         assert report.da_n1 == lorentz.lorentz_norm(d(A), 3.0, 1.0)
 
@@ -396,7 +408,7 @@ class TestSolvePair:
         grid = Grid(2, 16)
         omega = synth.synthetic_connection(
             grid, 3, np.random.default_rng(5), kmax=2, exact_frac=0.5, target_norm=0.3)
-        A, B, report = solver.solve_pair(omega, gauge.coulomb_gauge(omega, tol=1e-5))
+        A, B, report = solver.solve_pair(omega, gauge.minimize_gauge(omega, tol=1e-5))
         assert B.k == 2 == grid.n
         assert report.iterations == 5
         assert report.kappa_bar == pytest.approx(1.59e-2, rel=1e-2)
@@ -407,7 +419,7 @@ class TestSolvePair:
     def test_incomplete_pair_rejected(self, grid):
         # The missing potential is reported before the regime guard, which a
         # zero limit would otherwise trip.
-        partial = gauge.minimize_gauge(MatrixForm.zeros(grid, 1, 3))
+        partial = incomplete_pair(grid, 3)
         with pytest.raises(ValueError, match="incomplete"):
             solver.solve_pair(MatrixForm.zeros(grid, 1, 3), partial)
         with pytest.raises(ValueError, match="incomplete"):

@@ -27,7 +27,7 @@ def pipeline_reports(grid):
                                seed=42, kmin=4, kmax=4),
             steps=steps)
         omega = connection.omega_sphere(u)
-        pair = gauge.coulomb_gauge(omega, tol=1e-5)
+        pair = gauge.minimize_gauge(omega, tol=1e-5)
         A, B, report = solver.solve_pair(omega, pair, tol=1e-8)
         tension = maps.tension_residual(u)
         return tension, verify.conservation_residual(
@@ -38,6 +38,16 @@ def pipeline_reports(grid):
                 ("tolerance", 1e-8)))
 
     return run(15), run(30)
+
+
+@pytest.fixture(scope="module")
+def relaxed_pair(grid):
+    u = maps.heat_flow_relax(
+        maps.perturbed_map(maps.constant_map(grid, 3), 3e-4, seed=42, kmin=4, kmax=4),
+        steps=3)
+    omega = connection.omega_sphere(u)
+    A, B, _ = solver.solve_pair(omega, gauge.minimize_gauge(omega, tol=1e-5), tol=1e-8)
+    return u, A, B
 
 
 class TestConservationResidual:
@@ -100,6 +110,29 @@ class TestConservationResidual:
             verify.conservation_residual(
                 identity_matrix_form(grid, 3), MatrixForm.zeros(grid, 2, 3), u,
                 interior=0.7)
+
+    def test_reads_the_maps_one_gradient(self, relaxed_pair, monkeypatch):
+        # Both paths take du from the map's cached gradient; the only
+        # derivatives left are those of the current and of the fluxes.
+        u, A, B = relaxed_pair
+        u.gradient
+        differentiate = forms._differentiate_into
+        of_map = []
+
+        def counted(arr, *args):
+            of_map.append(np.shares_memory(arr, u.values))
+            return differentiate(arr, *args)
+
+        monkeypatch.setattr(forms, "_differentiate_into", counted)
+        verify.conservation_residual(A, B, u)
+        assert of_map and not any(of_map)
+
+    def test_working_set(self, grid, relaxed_pair, transient_peak):
+        # The current's terms and one flux at a time: no dense copy of B and
+        # no second gradient of the map (4.45 units with both).
+        u, A, B = relaxed_pair
+        peak = transient_peak(verify.conservation_residual, A, B, u)
+        assert peak <= 2.0 * MatrixForm.zeros(grid, 2, 3).coeffs.nbytes
 
     def test_heat_flow_pipeline_stays_inside_budget(self, pipeline_reports):
         (tension, solved), _ = pipeline_reports
@@ -178,7 +211,7 @@ class TestBoundRatios:
         omega = synth.synthetic_connection(
             grid, 3, np.random.default_rng(21), kmax=2, exact_frac=0.3,
             target_norm=1e-2)
-        pair = gauge.coulomb_gauge(omega)
+        pair = gauge.minimize_gauge(omega)
         A, B, report = solver.solve_pair(omega, pair)
         table = verify.bound_ratios(A, B, omega)
         assert table.da_n1 == pytest.approx(report.da_n1, rel=1e-12)
