@@ -32,7 +32,7 @@ def sweep_point(grid: Grid, m: int, eps: float, seed: int, samples: int) -> dict
     row = {"epsilon": eps, "kappa": kappa, "iterations": "", "residual_l2": "",
            "status": "ok"}
     try:
-        _, _, report = solver.solve_pair(omega, pair)
+        _, _, report = solver.solve_pair(omega, solver.PicardMap.of(pair))
     except solver.SolverError as exc:
         row["status"] = str(exc).split(":")[0]
     else:

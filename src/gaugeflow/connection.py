@@ -77,9 +77,11 @@ def _call_frame(callback, values: np.ndarray, what: str) -> np.ndarray:
 
 
 def _antisymmetrized(grid, raw: np.ndarray) -> MatrixForm:
-    defect = float(np.abs(raw + np.swapaxes(raw, -1, -2)).max())
-    if defect > 0.0:
-        _log.debug("antisymmetry defect %.3e removed by projection", defect)
+    # The defect takes two arrays of raw's size, so only a DEBUG log pays.
+    if _log.isEnabledFor(logging.DEBUG):
+        defect = float(np.abs(raw + np.swapaxes(raw, -1, -2)).max())
+        if defect > 0.0:
+            _log.debug("antisymmetry defect %.3e removed by projection", defect)
     return MatrixForm(grid, 1, 0.5 * (raw - np.swapaxes(raw, -1, -2)))
 
 

@@ -62,8 +62,11 @@ def _describe(field) -> tuple[dict, np.ndarray]:
 def write_field(path, field) -> None:
     """Persist a matrix form, vector form, or map at ``path`` (plus sidecar)."""
     header, arr = _describe(field)
-    payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    header["payload_bytes"] = len(payload)
+    # The checksum and the write read the coefficients through a byte view,
+    # so no copy of the payload is made.
+    arr = np.ascontiguousarray(arr, dtype="<f8")
+    payload = memoryview(arr).cast("B")
+    header["payload_bytes"] = arr.nbytes
     header["crc32"] = zlib.crc32(payload)
     Path(path).write_bytes(payload)
     sidecar_path(path).write_text(

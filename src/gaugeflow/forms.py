@@ -455,24 +455,46 @@ def _add_scaled(target: np.ndarray, term: np.ndarray, weight: float) -> None:
         target += weight * term
 
 
+def _add_partial_sums(target: np.ndarray, coeffs: np.ndarray, table: tuple, res: int,
+                      weight: float, flipped: tuple) -> None:
+    """target[io] += weight * (the signed partials of the table summed for io).
+
+    Each output is summed in one reused component array and added, with
+    weight's sign flipped for the outputs in `flipped`, so the table's
+    image is never held whole.
+    """
+    groups = _by_output(table)
+    comp = np.empty(coeffs.shape[1:])
+    work = np.empty_like(comp)
+    prod = np.empty_like(comp) if any(len(terms) > 1 for _, terms in groups) else None
+    for io, terms in groups:
+        _sum_partials(coeffs, terms, res, comp, work, prod)
+        _add_scaled(target[io], comp, -weight if io in flipped else weight)
+
+
+def _add_codifferential(target: np.ndarray, coeffs: np.ndarray, n: int, k: int,
+                        res: int) -> None:
+    """target += d* form for the k-form with these coefficients.
+
+    Each output of _codiff_table is summed as _codifferential_coeffs sums
+    it and added, or subtracted where the table negates it; x - y is
+    bitwise x + (-y), so target ends as it would with d* form held whole.
+    """
+    table, negated = _codiff_table(n, k)
+    _add_partial_sums(target, coeffs, table, res, 1.0, negated)
+
+
 def _add_star_codifferential(target: np.ndarray, coeffs: np.ndarray, n: int, k: int,
                              res: int, weight: float) -> None:
     """target += weight * (* d* form) for the k-form with these coefficients.
 
     * d* = sigma d * on k-forms, with sigma = (-1)^(n(k+1)+1) from d* times
     (-1)^((k-1)(n-k+1)) from * * on (n-k+1)-forms, so each component of
-    d * form is summed in one reused component array and added, times
-    weight * sigma, into the same component of target; d* form is never
-    held whole.
+    d * form is added, times weight * sigma, into the same component of
+    target; d* form is never held whole.
     """
     sigma = -1.0 if (n * (k + 1) + 1 + (k - 1) * (n - k + 1)) % 2 else 1.0
-    groups = _by_output(_d_star_table(n, k))
-    comp = np.empty(coeffs.shape[1:])
-    work = np.empty_like(comp)
-    prod = np.empty_like(comp) if any(len(terms) > 1 for _, terms in groups) else None
-    for io, terms in groups:
-        _sum_partials(coeffs, terms, res, comp, work, prod)
-        _add_scaled(target[io], comp, weight * sigma)
+    _add_partial_sums(target, coeffs, _d_star_table(n, k), res, weight * sigma, ())
 
 
 @lru_cache(maxsize=None)

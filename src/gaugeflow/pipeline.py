@@ -71,11 +71,17 @@ def _build_omega(cfg: RunConfig, res: int, u) -> MatrixForm:
 
 
 class _Context:
-    """Lazily computed stage products for one configuration and resolution."""
+    """Lazily computed stage products for one configuration and resolution.
+
+    The gauge pair is the one product that is not kept: the solve takes the
+    context's only reference to it, so P and xi are freed before the first
+    Picard step, and only the gauge diagnostics stay.
+    """
 
     def __init__(self, cfg: RunConfig, res: int | None = None):
         self.cfg = cfg
         self.res = res or cfg.res
+        self._pair = None
 
     @functools.cached_property
     def map(self):
@@ -90,14 +96,27 @@ class _Context:
         return maps.tension_residual(self.map)
 
     @functools.cached_property
+    def gauge_diagnostics(self) -> gauge.GaugeDiagnostics:
+        self._pair = gauge.minimize_gauge(self.omega, tol=self.cfg.gauge_tol,
+                                          max_iter=self.cfg.gauge_max_iter)
+        return self._pair.diagnostics
+
+    @property
     def pair(self) -> gauge.GaugePair:
-        return gauge.minimize_gauge(self.omega, tol=self.cfg.gauge_tol,
-                                    max_iter=self.cfg.gauge_max_iter)
+        """The gauge pair, computed once, until the solve takes it."""
+        self.gauge_diagnostics  # runs the gauge descent on first use
+        if self._pair is None:
+            raise RuntimeError("the gauge pair has gone to the solve")
+        return self._pair
 
     @functools.cached_property
     def solved(self) -> tuple:
+        # The map is all the solve reads of the gauge pair: dropping the
+        # context's reference frees P and xi before the Picard loop.
+        pmap = solver.PicardMap.of(self.pair)
+        self._pair = None
         return solver.solve_pair(
-            self.omega, self.pair, tol=self.cfg.solver_tol,
+            self.omega, pmap, tol=self.cfg.solver_tol,
             max_iter=self.cfg.solver_max_iter,
             regime_limit=self.cfg.regime_limit,
             probe_seed=self.cfg.probe_seed)
@@ -105,7 +124,7 @@ class _Context:
     def budget_components(self) -> tuple:
         _, _, report = self.solved
         parts = [("harmonic", report.harmonic_budget),
-                 ("representation", self.pair.diagnostics.representation or 0.0),
+                 ("representation", self.gauge_diagnostics.representation or 0.0),
                  ("tolerance", self.cfg.solver_tol)]
         if self.map is not None:
             parts.insert(0, ("tension", self.tension))

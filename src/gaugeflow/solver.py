@@ -67,10 +67,6 @@ def current_weight(n: int) -> float:
     return float((-1) ** (n - 1))
 
 
-def _lmul(mat: np.ndarray, form: MatrixForm) -> MatrixForm:
-    return form._like(mat @ form.coeffs)
-
-
 @dataclass(frozen=True, eq=False)
 class PairState:
     """Scalar-block 0-form a and closed 2-form b of the fixed-point iteration."""
@@ -195,7 +191,13 @@ def _check_source_mean(src: MatrixForm, label: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class PicardMap:
-    """Gauge coefficients of the affine map: P^T, dP and d(star xi).
+    """All the construction reads of a gauge pair (P, xi).
+
+    The affine map's gauge coefficients P^T, dP and d(star xi), and the
+    harmonic budget: the L2 size of the gauged connection's constant part,
+    which no potential represents and the solve reports.  Neither P nor xi
+    is read again, so a caller that drops its gauge pair once the map is
+    built frees both before the first Picard step.
 
     P^T is a contiguous copy, since batched products with a transposed view
     as right operand take numpy's slow path.  dP^T is not held: each step's
@@ -206,6 +208,7 @@ class PicardMap:
     pt: np.ndarray
     dp: MatrixForm
     d_star_xi: MatrixForm
+    harmonic: float
 
     @classmethod
     def of(cls, gauge_pair: GaugePair) -> "PicardMap":
@@ -213,7 +216,8 @@ class PicardMap:
             raise ValueError("gauge pair is incomplete: extract the potential first")
         return cls(gauge._transpose(gauge_pair.P.coeffs[0]),
                    forms.exterior_derivative(gauge_pair.P),
-                   forms.exterior_derivative(forms.hodge_star(gauge_pair.xi)))
+                   forms.exterior_derivative(forms.hodge_star(gauge_pair.xi)),
+                   gauge_pair.diagnostics.harmonic or 0.0)
 
 
 def _scale(arr: np.ndarray, weight: float) -> None:
@@ -289,8 +293,19 @@ def pair_residual(A: MatrixForm, B: MatrixForm, omega: MatrixForm):
 
 
 def _residual_norms(dA: MatrixForm, A: MatrixForm, B: MatrixForm, omega: MatrixForm):
-    """pair_residual with dA already taken."""
-    r = dA - _lmul(A.coeffs[0], omega) + forms.codifferential(B)
+    """pair_residual with dA already taken.
+
+    r = dA - A Omega + d*B is built in one array in the order of that
+    expression: dA_c - A Omega_c for each component c, then d*B added one
+    component at a time, so neither A Omega nor d*B is held whole.
+    """
+    grid = A.grid
+    r = np.empty(dA.coeffs.shape)
+    for da_c, omega_c, r_c in zip(dA.coeffs, omega.coeffs, r):
+        np.matmul(A.coeffs[0], omega_c, out=r_c)
+        np.subtract(da_c, r_c, out=r_c)
+    forms._add_codifferential(r, B.coeffs, grid.n, B.k, grid.res)
+    r = MatrixForm(grid, 1, r)
     return forms.l2_norm(r), float(forms.pointwise_norm(r).max())
 
 
@@ -355,10 +370,13 @@ def _iterate(pmap: PicardMap, state: PairState, tol: float, max_iter: int,
         [d.total for d in diffs])
 
 
-def solve_pair(omega: MatrixForm, gauge_pair: GaugePair, tol: float = 1e-8,
+def solve_pair(omega: MatrixForm, pmap: PicardMap, tol: float = 1e-8,
                max_iter: int = 200, regime_limit: float = 1.0,
                probe_seed: int | None = 7):
     """Iterate from (0, 0) to the conservation pair (A, B) with a full report.
+
+    `pmap` is the map of omega's gauge pair, PicardMap.of(pair); the solve
+    reads nothing else of the pair, which the caller may drop first.
 
     Raises "outside contraction regime" either up front, when the Lorentz
     L^{n,2} size of omega reaches regime_limit up to a relative margin
@@ -367,7 +385,6 @@ def solve_pair(omega: MatrixForm, gauge_pair: GaugePair, tol: float = 1e-8,
     the same fixed point within 10 tol (the uniqueness of the pair is part
     of what the construction claims).
     """
-    pmap = PicardMap.of(gauge_pair)
     grid, m = omega.grid, omega.m
     size = lorentz.lorentz_norm(omega, float(grid.n), 2.0)
     if size >= regime_limit * (1.0 - REGIME_RTOL):
@@ -421,7 +438,7 @@ def solve_pair(omega: MatrixForm, gauge_pair: GaugePair, tol: float = 1e-8,
         rotation_distance_sup=float(dist.max()) if not negdet.any() else float("nan"),
         negdet_points=int(negdet.sum()),
         omega_n2=size,
-        harmonic_budget=gauge_pair.diagnostics.harmonic or 0.0,
+        harmonic_budget=pmap.harmonic,
         uniqueness_gap=uniqueness_gap,
         couplings_version=COUPLINGS_VERSION,
     )

@@ -173,7 +173,7 @@ def test_contraction_regime():
     big = synth.synthetic_connection(
         grid, 3, np.random.default_rng(5), kmax=2, target_norm=1.0)
     with pytest.raises(solver.SolverError, match="outside contraction regime"):
-        solver.solve_pair(big, gauge.minimize_gauge(big))
+        solver.solve_pair(big, solver.PicardMap.of(gauge.minimize_gauge(big)))
 
 
 @criterion("existence of the pair", budget=120.0)
@@ -186,7 +186,7 @@ def test_existence_of_the_pair():
     for s in (0.25, 0.5, 1.0):
         omega = base * s
         pair = gauge.minimize_gauge(omega)
-        A, B, report = solver.solve_pair(omega, pair, tol=tol)
+        A, B, report = solver.solve_pair(omega, solver.PicardMap.of(pair), tol=tol)
         assert report.residual_l2 <= 1e-6 + report.harmonic_budget
         assert report.uniqueness_gap <= 10 * tol
         ratios.append(verify.bound_ratios(A, B, omega).ratio)

@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
 
 import gaugeflow
-from gaugeflow import cli, connection, fieldio, forms, gauge, maps, pipeline, synth, verify
+from gaugeflow import (cli, config, connection, fieldio, forms, gauge, maps, pipeline,
+                       solver, synth, verify)
 
 SYNTHETIC = """\
 [grid]
@@ -211,6 +213,58 @@ class TestCommands:
         assert cli.main(["verify", "--config", str(synthetic_ini),
                          "--out", str(tmp_path / "run")]) == 0
         assert len(calls) == 1
+
+    def test_gauge_fields_are_released_before_the_picard_loop(
+            self, synthetic_ini, tmp_path, monkeypatch):
+        # The gauge stage writes P and xi; then the solve takes the context's
+        # only reference to the pair, so neither is alive when the main run
+        # or the probe starts, and the context keeps only the diagnostics.
+        cfg = dataclasses.replace(config.load_config(synthetic_ini), out_dir=str(tmp_path))
+        ctx = pipeline._Context(cfg)
+        pipeline._stage_omega(ctx, tmp_path)
+        pipeline._stage_gauge(ctx, tmp_path)
+        held = (weakref.ref(ctx.pair.P.coeffs), weakref.ref(ctx.pair.xi.coeffs))
+        iterate = solver._iterate
+        alive = []
+
+        def checked(*args, **kwargs):
+            alive.append([ref() is not None for ref in held])
+            return iterate(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_iterate", checked)
+        pipeline._stage_solve(ctx, tmp_path)
+        pipeline._stage_verify(ctx, tmp_path)
+        assert alive == [[False, False], [False, False]]
+        gauge_doc = json.loads((tmp_path / "gauge.json").read_text())
+        assert gauge_doc["representation"] == ctx.gauge_diagnostics.representation
+        with pytest.raises(RuntimeError, match="gone to the solve"):
+            ctx.pair
+
+    @pytest.mark.parametrize("command, ini, extra", [
+        ("solve", "synthetic_ini", []),
+        ("verify", "synthetic_ini", CONTRACTING),
+        ("study", "heatflow_ini", ["--set", "study.resolutions=8 16 32"]),
+    ])
+    def test_no_command_solves_beside_its_gauge_fields(
+            self, command, ini, extra, tmp_path, monkeypatch, request):
+        # Every path to the solve drops P and xi before the Picard loop.
+        minimize, iterate = gauge.minimize_gauge, solver._iterate
+        held, alive = [], []
+
+        def recorded(omega, **kwargs):
+            pair = minimize(omega, **kwargs)
+            held.extend((weakref.ref(pair.P.coeffs), weakref.ref(pair.xi.coeffs)))
+            return pair
+
+        def checked(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in held))
+            return iterate(*args, **kwargs)
+
+        monkeypatch.setattr(gauge, "minimize_gauge", recorded)
+        monkeypatch.setattr(solver, "_iterate", checked)
+        assert cli.main([command, "--config", str(request.getfixturevalue(ini)), *extra,
+                         "--out", str(tmp_path / "run")]) == 0
+        assert alive and not any(alive)
 
 
 class TestDeterminism:

@@ -1,5 +1,7 @@
 """Connection assembly from sphere maps and normal frames."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,22 @@ class TestResidual:
         wide = connection.omega_sphere(maps.geodesic_map(Grid(2, 16), 3, (1, 0)))
         with pytest.raises(ValueError, match="matching"):
             connection.connection_residual(u, wide)
+
+
+class TestAntisymmetrized:
+    def test_defect_is_logged_only_at_debug(self, caplog, rng):
+        # The projection is the same with logging on or off; the defect is
+        # measured, and logged, only when DEBUG is enabled.
+        grid = Grid(2, 8)
+        raw = rng.standard_normal((2,) + grid.shape + (3, 3))
+        want = 0.5 * (raw - np.swapaxes(raw, -1, -2))
+        logger = "gaugeflow.connection"
+        with caplog.at_level(logging.INFO, logger=logger):
+            quiet = connection._antisymmetrized(grid, raw)
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger=logger):
+            logged = connection._antisymmetrized(grid, raw)
+        assert [r.getMessage().split(" ")[:2] for r in caplog.records] == [
+            ["antisymmetry", "defect"]]
+        for omega in (quiet, logged):
+            assert np.array_equal(omega.coeffs.view(np.uint64), want.view(np.uint64))

@@ -616,6 +616,23 @@ class TestCodifferentialTable:
             forms._add_star_codifferential(target, form.coeffs, n, k, grid.res, weight)
             assert np.array_equal(target.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_codifferential_kernel_matches_adding_the_codifferential(self, n, m):
+        # each output is summed as d* sums it and subtracted where d* would
+        # negate it, and x - y is bitwise x + (-y), down to the sign of a zero
+        grid = Grid(n, 8)
+        rng = np.random.default_rng(1000 + 10 * n + m)
+        for k in range(1, n + 1):
+            coeffs = rng.standard_normal((len(components(n, k)),) + grid.shape + (m, m))
+            coeffs[..., 0, 0] = 0.0
+            form = MatrixForm(grid, k, coeffs)
+            target = rng.standard_normal((len(components(n, k - 1)),) + grid.shape + (m, m))
+            target[..., 0, 0] = 0.0
+            want = target + codifferential(form).coeffs
+            forms._add_codifferential(target, form.coeffs, n, k, grid.res)
+            assert np.array_equal(target.view(np.uint64), want.view(np.uint64))
+
     def test_working_set_of_a_two_form(self, transient_peak):
         # The output plus one work and one product array of a component:
         # the star copies and the sign's temporary are gone.
@@ -709,7 +726,7 @@ class TestTransformCount:
             steps=3)
         omega = connection.omega_sphere(u)
         pair = gauge.minimize_gauge(omega, tol=1e-5)
-        A, B, _ = solver.solve_pair(omega, pair, tol=1e-8)
+        A, B, _ = solver.solve_pair(omega, solver.PicardMap.of(pair), tol=1e-8)
         verify.conservation_residual(A, B, u)
         verify.sphere_divergence_residual(u)
         verify.bound_ratios(A, B, omega)

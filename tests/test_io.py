@@ -103,6 +103,16 @@ class TestSidecar:
         assert (fieldio.sidecar_path(first).read_bytes()
                 == fieldio.sidecar_path(second).read_bytes())
 
+    def test_writes_without_a_payload_copy(self, tmp_path, transient_peak):
+        # The checksum and the write read the coefficients in place: the
+        # transient stays far below one payload (1.01 payloads with a
+        # bytes copy).
+        field = synth.random_matrix_form(Grid(3, 16), 2, 3, np.random.default_rng(2), 2)
+        path = tmp_path / "b.f64"
+        peak = transient_peak(fieldio.write_field, path, field)
+        assert peak <= 0.1 * field.coeffs.nbytes
+        assert path.read_bytes() == bits(field.coeffs)
+
 
 def rewrite_header(path, **changes):
     sidecar = fieldio.sidecar_path(path)

@@ -149,7 +149,7 @@ class TestPairState:
             post_init(state)
 
         monkeypatch.setattr(PairState, "__post_init__", counted)
-        _, _, report = solver.solve_pair(omega, pair, probe_seed=None)
+        _, _, report = solver.solve_pair(omega, solver.PicardMap.of(pair), probe_seed=None)
         assert len(checks) == report.iterations + 1
 
 
@@ -192,8 +192,9 @@ class TestPicardStep:
         assert defect <= 1e-8 * max(1.0, forms.l2_norm(src))
 
     def test_map_differentiates_the_rotation_once(self, grid, mixed_setup, monkeypatch):
-        # dP depends only on the gauge pair: one solve (probe included) and
-        # one contraction measurement each differentiate P exactly once.
+        # dP depends only on the gauge pair: building the map differentiates
+        # P once, a solve from the map (probe included) never, and one
+        # contraction measurement once.
         omega, pair = mixed_setup
         d = forms.exterior_derivative
         seen = []
@@ -204,7 +205,9 @@ class TestPicardStep:
             return d(form)
 
         monkeypatch.setattr(forms, "exterior_derivative", counted)
-        _, _, report = solver.solve_pair(omega, pair)
+        pmap = solver.PicardMap.of(pair)
+        assert len(seen) == 1
+        _, _, report = solver.solve_pair(omega, pmap)
         assert report.iterations >= 2 and report.uniqueness_gap is not None
         assert len(seen) == 1
         seen.clear()
@@ -244,7 +247,7 @@ class TestPicardStep:
 class TestSolvePair:
     def test_zero_connection(self, grid):
         omega = MatrixForm.zeros(grid, 1, 3)
-        A, B, report = solver.solve_pair(omega, gauge.minimize_gauge(omega))
+        A, B, report = solver.solve_pair(omega, solver.PicardMap.of(gauge.minimize_gauge(omega)))
         assert np.allclose(A.coeffs[0], np.eye(3), atol=1e-14)
         assert forms.l2_norm(B) == 0.0
         assert report.residual_l2 == 0.0
@@ -255,7 +258,7 @@ class TestSolvePair:
 
     def test_coexact_connection(self, grid, coexact_setup):
         omega, pair = coexact_setup
-        A, B, report = solver.solve_pair(omega, pair)
+        A, B, report = solver.solve_pair(omega, solver.PicardMap.of(pair))
         assert report.iterations == 2
         assert report.residual_l2 <= 1e-12
         assert all(r <= 0.5 for r in report.ratios)
@@ -269,7 +272,7 @@ class TestSolvePair:
 
     def test_mixed_connection_converges_geometrically(self, grid, mixed_setup):
         omega, pair = mixed_setup
-        A, B, report = solver.solve_pair(omega, pair)
+        A, B, report = solver.solve_pair(omega, solver.PicardMap.of(pair))
         assert report.iterations >= 2
         totals = [d.total for d in report.diff_norms]
         assert all(b < a for a, b in zip(totals, totals[1:]))
@@ -285,7 +288,7 @@ class TestSolvePair:
         for s in (0.25, 0.5, 1.0):
             scaled = s * omega
             pair = gauge.minimize_gauge(scaled)
-            _, _, report = solver.solve_pair(scaled, pair)
+            _, _, report = solver.solve_pair(scaled, solver.PicardMap.of(pair))
             size = lorentz.lorentz_norm(scaled, 3.0, 2.0)
             bound = (report.rotation_distance_sup + report.da_n1 + report.db_n2)
             ratios.append(bound / size)
@@ -296,17 +299,18 @@ class TestSolvePair:
         omega = synth.synthetic_connection(
             grid, 3, np.random.default_rng(13), kmax=2, target_norm=1.5)
         with pytest.raises(solver.SolverError, match="outside contraction regime"):
-            solver.solve_pair(omega, identity_pair(grid, 3))
+            solver.solve_pair(omega, solver.PicardMap.of(identity_pair(grid, 3)))
 
     def test_regime_guard_boundary_has_a_margin(self, grid, coexact_setup):
         # A limit one ulp above the measured size is still "reached": the
         # verdict at the boundary must not hinge on the last bit of rounding.
         omega, pair = coexact_setup
         size = lorentz.lorentz_norm(omega, 3.0, 2.0)
+        pmap = solver.PicardMap.of(pair)
         with pytest.raises(solver.SolverError, match="outside contraction regime"):
-            solver.solve_pair(omega, pair, regime_limit=np.nextafter(size, np.inf))
+            solver.solve_pair(omega, pmap, regime_limit=np.nextafter(size, np.inf))
         _, _, report = solver.solve_pair(
-            omega, pair, regime_limit=size * (1 + 1e-6), probe_seed=None)
+            omega, pmap, regime_limit=size * (1 + 1e-6), probe_seed=None)
         assert report.iterations == 2
 
     def test_divergence_flag_on_oversized_potential(self, grid):
@@ -322,7 +326,7 @@ class TestSolvePair:
         omega = forms.codifferential(xi)
         with pytest.raises(solver.SolverError,
                            match="three consecutive iterations") as info:
-            solver.solve_pair(omega, pair, regime_limit=np.inf,
+            solver.solve_pair(omega, solver.PicardMap.of(pair), regime_limit=np.inf,
                               probe_seed=None, max_iter=40)
         assert len(info.value.trace) >= 3
         assert info.value.trace[-1] > info.value.trace[-3]
@@ -330,12 +334,13 @@ class TestSolvePair:
     def test_max_iter_carries_trace(self, grid, mixed_setup):
         omega, pair = mixed_setup
         with pytest.raises(solver.SolverError, match="not reached in 2") as info:
-            solver.solve_pair(omega, pair, tol=1e-30, max_iter=2, probe_seed=None)
+            solver.solve_pair(omega, solver.PicardMap.of(pair), tol=1e-30, max_iter=2,
+                              probe_seed=None)
         assert len(info.value.trace) == 2
 
     def test_probe_can_be_disabled(self, grid, coexact_setup):
         omega, pair = coexact_setup
-        _, _, report = solver.solve_pair(omega, pair, probe_seed=None)
+        _, _, report = solver.solve_pair(omega, solver.PicardMap.of(pair), probe_seed=None)
         assert report.uniqueness_gap is None
 
     def test_probe_takes_no_iterate_norms(self, grid, coexact_setup, monkeypatch):
@@ -356,7 +361,7 @@ class TestSolvePair:
 
         monkeypatch.setattr(solver, "state_norm", counted)
         monkeypatch.setattr(solver, "_iterate", recorded)
-        _, _, report = solver.solve_pair(omega, pair)
+        _, _, report = solver.solve_pair(omega, solver.PicardMap.of(pair))
         main, probe = steps
         assert main == report.iterations and probe >= 1
         assert len(report.iterate_norms) == main + 1
@@ -386,7 +391,7 @@ class TestSolvePair:
         monkeypatch.setattr(forms, "exterior_derivative", counted_d)
         monkeypatch.setattr(solver, "gradient_norm", counted_grad)
         monkeypatch.setattr(forms, "sup_norm", counted_sup)
-        A, B, report = solver.solve_pair(omega, pair, probe_seed=None)
+        A, B, report = solver.solve_pair(omega, solver.PicardMap.of(pair), probe_seed=None)
         assert sum(form is A for form in zero_forms) == 1
         assert len(gradients) == 1 + 2 * report.iterations
         assert len(sups) == 1 + 2 * report.iterations
@@ -394,12 +399,14 @@ class TestSolvePair:
         assert report.da_n1 == lorentz.lorentz_norm(d(A), 3.0, 1.0)
 
     def test_working_set(self, grid, mixed_setup, transient_peak):
-        # The probe's start goes after its first step and its fixed point
-        # after the gap, so the peak is the gauge coefficients, both runs'
-        # states and one step: within nine 2-forms (twelve before).
+        # The map is the caller's, the probe's start goes after its first
+        # step and its fixed point after the gap, and the residual is built
+        # in one array, so the peak above the map is both runs' states and
+        # one step: within six and a half 2-forms (8.45 with the map built
+        # inside and the residual's three terms held whole, twelve before).
         omega, pair = mixed_setup
-        peak = transient_peak(solver.solve_pair, omega, pair)
-        assert peak <= 9.0 * MatrixForm.zeros(grid, 2, 3).coeffs.nbytes
+        peak = transient_peak(solver.solve_pair, omega, solver.PicardMap.of(pair))
+        assert peak <= 6.5 * MatrixForm.zeros(grid, 2, 3).coeffs.nbytes
 
     def test_two_dimensions(self):
         # Riviere's base case: the 2-form block is top degree.  The pair
@@ -408,7 +415,8 @@ class TestSolvePair:
         grid = Grid(2, 16)
         omega = synth.synthetic_connection(
             grid, 3, np.random.default_rng(5), kmax=2, exact_frac=0.5, target_norm=0.3)
-        A, B, report = solver.solve_pair(omega, gauge.minimize_gauge(omega, tol=1e-5))
+        pair = gauge.minimize_gauge(omega, tol=1e-5)
+        A, B, report = solver.solve_pair(omega, solver.PicardMap.of(pair))
         assert B.k == 2 == grid.n
         assert report.iterations == 5
         assert report.kappa_bar == pytest.approx(1.59e-2, rel=1e-2)
@@ -416,14 +424,19 @@ class TestSolvePair:
         assert report.residual_l2 <= report.harmonic_budget
         assert report.uniqueness_gap <= 1e-10
 
-    def test_incomplete_pair_rejected(self, grid):
-        # The missing potential is reported before the regime guard, which a
-        # zero limit would otherwise trip.
-        partial = incomplete_pair(grid, 3)
-        with pytest.raises(ValueError, match="incomplete"):
-            solver.solve_pair(MatrixForm.zeros(grid, 1, 3), partial)
-        with pytest.raises(ValueError, match="incomplete"):
-            solver.solve_pair(MatrixForm.zeros(grid, 1, 3), partial, regime_limit=0.0)
+    def test_reports_the_maps_harmonic_budget(self, grid):
+        # The map carries the gauge's harmonic budget; a pair whose
+        # diagnostics have none reports zero.
+        pair = identity_pair(grid, 3)
+        diag = gauge.GaugeDiagnostics(0.0, 0.0, 0, 2.5e-3, 0.0)
+        budgeted = gauge.GaugePair(pair.P, pair.xi, diag)
+        unbudgeted = gauge.GaugePair(pair.P, pair.xi, gauge.GaugeDiagnostics(0.0, 0.0, 0))
+        omega = MatrixForm.zeros(grid, 1, 3)
+        for gauge_pair, budget in ((budgeted, 2.5e-3), (unbudgeted, 0.0)):
+            pmap = solver.PicardMap.of(gauge_pair)
+            assert pmap.harmonic == budget
+            _, _, report = solver.solve_pair(omega, pmap, probe_seed=None)
+            assert report.harmonic_budget == budget
 
 
 class TestSourceMeanCheck:
@@ -445,6 +458,34 @@ class TestSourceMeanCheck:
 
 
 class TestPairResidual:
+    @pytest.mark.parametrize("n, res", [(2, 16), (3, 8), (4, 8)])
+    def test_one_array_matches_the_expression(self, n, res):
+        # dA_c - A Omega_c, then + (d*B)_c one component at a time: the
+        # order of dA - A Omega + d*B, so both norms agree to the bit.
+        grid = Grid(n, res)
+        rng = np.random.default_rng(40 + n)
+        A = synth.random_matrix_form(grid, 0, 3, rng, kmax=2, antisymmetric=False)
+        B = synth.random_matrix_form(grid, 2, 3, rng, kmax=2)
+        omega = synth.random_matrix_form(grid, 1, 3, rng, kmax=2)
+        dA = forms.exterior_derivative(A)
+        r = dA - omega._like(A.coeffs[0] @ omega.coeffs) + forms.codifferential(B)
+        l2, sup = solver._residual_norms(dA, A, B, omega)
+        assert l2 == forms.l2_norm(r)
+        assert sup == float(forms.pointwise_norm(r).max())
+        assert (l2, sup) == solver.pair_residual(A, B, omega)
+
+    def test_working_set(self, grid, transient_peak):
+        # One residual array plus d*B's component, work and product arrays:
+        # within two and a quarter 2-forms (3.0 with A Omega, their
+        # difference and d*B held whole).
+        rng = np.random.default_rng(8)
+        A = synth.random_matrix_form(grid, 0, 3, rng, kmax=2, antisymmetric=False)
+        B = synth.random_matrix_form(grid, 2, 3, rng, kmax=2)
+        omega = synth.random_matrix_form(grid, 1, 3, rng, kmax=2)
+        dA = forms.exterior_derivative(A)
+        peak = transient_peak(solver._residual_norms, dA, A, B, omega)
+        assert peak <= 2.25 * B.coeffs.nbytes
+
     def test_identity_pair_zero_connection(self, grid):
         shape = (1,) + (grid.res,) * grid.n + (3, 3)
         A = MatrixForm(grid, 0, np.broadcast_to(np.eye(3), shape).copy())
@@ -465,7 +506,7 @@ class TestPairResidual:
         # Residual at the fixed point is ~0, so perturbing A by delta leaves
         # exactly the linear response d(delta) - delta Omega.
         omega, pair = coexact_setup
-        A, B, report = solver.solve_pair(omega, pair)
+        A, B, report = solver.solve_pair(omega, solver.PicardMap.of(pair))
         delta = 1e-3 * synth.random_matrix_form(grid, 0, 3, np.random.default_rng(6), 2)
         perturbed, _ = solver.pair_residual(A + delta, B, omega)
         product = MatrixForm(grid, 1, np.einsum(

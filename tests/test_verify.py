@@ -28,7 +28,7 @@ def pipeline_reports(grid):
             steps=steps)
         omega = connection.omega_sphere(u)
         pair = gauge.minimize_gauge(omega, tol=1e-5)
-        A, B, report = solver.solve_pair(omega, pair, tol=1e-8)
+        A, B, report = solver.solve_pair(omega, solver.PicardMap.of(pair), tol=1e-8)
         tension = maps.tension_residual(u)
         return tension, verify.conservation_residual(
             A, B, u, budget_components=(
@@ -46,7 +46,8 @@ def relaxed_pair(grid):
         maps.perturbed_map(maps.constant_map(grid, 3), 3e-4, seed=42, kmin=4, kmax=4),
         steps=3)
     omega = connection.omega_sphere(u)
-    A, B, _ = solver.solve_pair(omega, gauge.minimize_gauge(omega, tol=1e-5), tol=1e-8)
+    pmap = solver.PicardMap.of(gauge.minimize_gauge(omega, tol=1e-5))
+    A, B, _ = solver.solve_pair(omega, pmap, tol=1e-8)
     return u, A, B
 
 
@@ -212,7 +213,7 @@ class TestBoundRatios:
             grid, 3, np.random.default_rng(21), kmax=2, exact_frac=0.3,
             target_norm=1e-2)
         pair = gauge.minimize_gauge(omega)
-        A, B, report = solver.solve_pair(omega, pair)
+        A, B, report = solver.solve_pair(omega, solver.PicardMap.of(pair))
         table = verify.bound_ratios(A, B, omega)
         assert table.da_n1 == pytest.approx(report.da_n1, rel=1e-12)
         assert table.db_n2 == pytest.approx(report.db_n2, rel=1e-12)
