@@ -26,13 +26,13 @@ from gaugeflow.forms import Grid
 def sweep_point(grid: Grid, m: int, eps: float, seed: int, samples: int) -> dict:
     omega = synth.synthetic_connection(
         grid, m, np.random.default_rng(seed), kmax=2, target_norm=eps)
-    pair = gauge.minimize_gauge(omega)
+    pmap = solver.PicardMap.of(gauge.minimize_gauge(omega))
     kappa = solver.measure_contraction(
-        pair, np.random.default_rng(seed + 1), samples=samples)
+        pmap, np.random.default_rng(seed + 1), samples=samples)
     row = {"epsilon": eps, "kappa": kappa, "iterations": "", "residual_l2": "",
            "status": "ok"}
     try:
-        _, _, report = solver.solve_pair(omega, solver.PicardMap.of(pair))
+        _, _, report = solver.solve_pair(omega, pmap)
     except solver.SolverError as exc:
         row["status"] = str(exc).split(":")[0]
     else:

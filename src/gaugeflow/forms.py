@@ -319,15 +319,21 @@ def _deriv_table(n: int, k: int) -> tuple:
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
-def _by_output(table: tuple) -> tuple:
-    """A (comp_in, axis, comp_out, sign) table as (comp_out, terms) groups in
-    order of first appearance; each group's (comp_in, axis, sign) terms keep
-    the table's order."""
-    groups = {}
+def _grouped(table: tuple, nout: int) -> tuple:
+    """A (comp_in, axis, comp_out, sign) table as a plan with output sign +1.
+
+    A plan holds, for each output component in order, its (comp_in, axis,
+    sign) terms in the table's order and the sign applied after their sum.
+    """
+    terms = [[] for _ in range(nout)]
     for ia, axis, io, sign in table:
-        groups.setdefault(io, []).append((ia, axis, sign))
-    return tuple((io, tuple(terms)) for io, terms in groups.items())
+        terms[io].append((ia, axis, sign))
+    return tuple((tuple(group), 1.0) for group in terms)
+
+
+@lru_cache(maxsize=None)
+def _d_plan(n: int, k: int) -> tuple:
+    return _grouped(_deriv_table(n, k), len(components(n, k + 1)))
 
 
 def _sum_partials(coeffs: np.ndarray, terms: tuple, res: int, target: np.ndarray,
@@ -345,30 +351,45 @@ def _sum_partials(coeffs: np.ndarray, terms: tuple, res: int, target: np.ndarray
             target += prod
 
 
-def _apply_derivative_table(coeffs: np.ndarray, table: tuple, nout: int,
-                            res: int) -> np.ndarray:
-    """Sum the signed partials of a (comp_in, axis, comp_out, sign) table.
+def _image(coeffs: np.ndarray, plan: tuple, res: int) -> np.ndarray:
+    """A derivative plan applied to coefficients, in a fresh writable array.
 
-    One reused work array and, where an output has several terms, one
-    reused product array serve every term.  Each (component, axis) pair
-    enters once.
+    Each output is summed in place and then negated if its sign is -1; the
+    sign comes after the sum, so even a zero keeps it.  One reused work
+    array and, where an output has several terms, one reused product array
+    serve every term.
     """
-    groups = _by_output(table)
-    out = np.empty((nout,) + coeffs.shape[1:])
+    out = np.empty((len(plan),) + coeffs.shape[1:])
     work = np.empty(coeffs.shape[1:])
-    prod = np.empty_like(work) if any(len(terms) > 1 for _, terms in groups) else None
-    for io, terms in groups:
-        _sum_partials(coeffs, terms, res, out[io], work, prod)
+    prod = np.empty_like(work) if any(len(terms) > 1 for terms, _ in plan) else None
+    for target, (terms, sign) in zip(out, plan):
+        _sum_partials(coeffs, terms, res, target, work, prod)
+        if sign < 0:
+            np.negative(target, out=target)
     return out
+
+
+def _add_image(target: np.ndarray, coeffs: np.ndarray, plan: tuple, res: int,
+               weight: float) -> None:
+    """target += weight * (a derivative plan applied to coefficients).
+
+    Each output is summed in one reused component array and added times
+    weight * sign, so the image is never held whole; x - y is bitwise
+    x + (-y), so target ends as it would with _image's result added.
+    """
+    comp = np.empty(coeffs.shape[1:])
+    work = np.empty_like(comp)
+    prod = np.empty_like(comp) if any(len(terms) > 1 for terms, _ in plan) else None
+    for out, (terms, sign) in zip(target, plan):
+        _sum_partials(coeffs, terms, res, comp, work, prod)
+        _add_scaled(out, comp, weight * sign)
 
 
 def exterior_derivative(form):
     if form.k >= form.grid.n:
         raise ValueError("top-degree form")
-    n, k = form.grid.n, form.k
-    out = _apply_derivative_table(form.coeffs, _deriv_table(n, k),
-                                  len(components(n, k + 1)), form.grid.res)
-    return form._like(out, k + 1)
+    out = _image(form.coeffs, _d_plan(form.grid.n, form.k), form.grid.res)
+    return form._like(out, form.k + 1)
 
 
 @lru_cache(maxsize=None)
@@ -394,55 +415,43 @@ def hodge_star(form):
 
 
 @lru_cache(maxsize=None)
-def _d_star_table(n: int, k: int) -> tuple:
-    # d * on k-forms as one table: each entry of d on (n-k)-forms, read
-    # through the star of its input, in d's order, so every output sums its
-    # terms as d does on the starred form.
+def _d_star_plan(n: int, k: int) -> tuple:
+    # d * on k-forms: each entry of d on (n-k)-forms, read through the star
+    # of its input, in d's order, so every output sums its terms as d does
+    # on the starred form, with no copy of the starred form.
     star_in = {io: (ia, s) for ia, io, s in _star_table(n, k)}
-    table = []
-    for ia, axis, io, s in _deriv_table(n, n - k):
-        src, s_in = star_in[ia]
-        table.append((src, axis, io, s_in * s))
-    return tuple(table)
-
-
-def _d_star_coeffs(form) -> np.ndarray:
-    """Coefficients of d(* form) in a fresh array, with no copy of * form."""
-    n, k = form.grid.n, form.k
-    return _apply_derivative_table(form.coeffs, _d_star_table(n, k),
-                                   len(components(n, n - k + 1)), form.grid.res)
+    table = [(star_in[ia][0], axis, io, star_in[ia][1] * s)
+             for ia, axis, io, s in _deriv_table(n, n - k)]
+    return _grouped(table, len(components(n, n - k + 1)))
 
 
 @lru_cache(maxsize=None)
-def _codiff_table(n: int, k: int) -> tuple:
-    # d* = (-1)^(n(k+1)+1) * d * on k-forms as one table: d * relabelled by
-    # the output star.  The output star's sign and d*'s own sign come after
-    # the sum, as in * d *, so even a zero keeps its sign; `negated` lists
-    # the outputs they flip.
+def _codiff_plan(n: int, k: int) -> tuple:
+    # d* = (-1)^(n(k+1)+1) * d * on k-forms: d * relabelled by the output
+    # star.  The output star's sign and d*'s own sign come after the sum,
+    # as in * d *, so even a zero keeps its sign.
     sign = -1.0 if (n * (k + 1) + 1) % 2 else 1.0
-    star_out = {ia: (io, s) for ia, io, s in _star_table(n, n - k + 1)}
-    table = tuple((src, axis, star_out[io][0], s)
-                  for src, axis, io, s in _d_star_table(n, k))
-    negated = tuple(io for io, s_out in star_out.values() if sign * s_out < 0)
-    return table, negated
+    d_star = _d_star_plan(n, k)
+    plan = [None] * len(components(n, k - 1))
+    for ia, io, s in _star_table(n, n - k + 1):
+        plan[io] = (d_star[ia][0], sign * s)
+    return tuple(plan)
+
+
+@lru_cache(maxsize=None)
+def _star_codiff_plan(n: int, k: int) -> tuple:
+    # * d* = sigma d * on k-forms, with sigma = (-1)^(n(k+1)+1) from d*
+    # times (-1)^((k-1)(n-k+1)) from * * on (n-k+1)-forms.
+    sigma = -1.0 if (n * (k + 1) + 1 + (k - 1) * (n - k + 1)) % 2 else 1.0
+    return tuple((terms, sigma) for terms, _ in _d_star_plan(n, k))
 
 
 def codifferential(form):
     """Codifferential d* = (-1)^(n(k+1)+1) * d *; on 1-forms, minus divergence."""
     if form.k == 0:
         raise ValueError("codifferential of 0-form")
-    return form._like(_codifferential_coeffs(form), form.k - 1)
-
-
-def _codifferential_coeffs(form) -> np.ndarray:
-    """Coefficients of d* form in a fresh, writable array."""
-    n, k = form.grid.n, form.k
-    table, negated = _codiff_table(n, k)
-    out = _apply_derivative_table(form.coeffs, table, len(components(n, k - 1)),
-                                  form.grid.res)
-    for io in negated:
-        np.negative(out[io], out=out[io])
-    return out
+    out = _image(form.coeffs, _codiff_plan(form.grid.n, form.k), form.grid.res)
+    return form._like(out, form.k - 1)
 
 
 def _add_scaled(target: np.ndarray, term: np.ndarray, weight: float) -> None:
@@ -453,48 +462,6 @@ def _add_scaled(target: np.ndarray, term: np.ndarray, weight: float) -> None:
         target -= term
     else:
         target += weight * term
-
-
-def _add_partial_sums(target: np.ndarray, coeffs: np.ndarray, table: tuple, res: int,
-                      weight: float, flipped: tuple) -> None:
-    """target[io] += weight * (the signed partials of the table summed for io).
-
-    Each output is summed in one reused component array and added, with
-    weight's sign flipped for the outputs in `flipped`, so the table's
-    image is never held whole.
-    """
-    groups = _by_output(table)
-    comp = np.empty(coeffs.shape[1:])
-    work = np.empty_like(comp)
-    prod = np.empty_like(comp) if any(len(terms) > 1 for _, terms in groups) else None
-    for io, terms in groups:
-        _sum_partials(coeffs, terms, res, comp, work, prod)
-        _add_scaled(target[io], comp, -weight if io in flipped else weight)
-
-
-def _add_codifferential(target: np.ndarray, coeffs: np.ndarray, n: int, k: int,
-                        res: int) -> None:
-    """target += d* form for the k-form with these coefficients.
-
-    Each output of _codiff_table is summed as _codifferential_coeffs sums
-    it and added, or subtracted where the table negates it; x - y is
-    bitwise x + (-y), so target ends as it would with d* form held whole.
-    """
-    table, negated = _codiff_table(n, k)
-    _add_partial_sums(target, coeffs, table, res, 1.0, negated)
-
-
-def _add_star_codifferential(target: np.ndarray, coeffs: np.ndarray, n: int, k: int,
-                             res: int, weight: float) -> None:
-    """target += weight * (* d* form) for the k-form with these coefficients.
-
-    * d* = sigma d * on k-forms, with sigma = (-1)^(n(k+1)+1) from d* times
-    (-1)^((k-1)(n-k+1)) from * * on (n-k+1)-forms, so each component of
-    d * form is added, times weight * sigma, into the same component of
-    target; d* form is never held whole.
-    """
-    sigma = -1.0 if (n * (k + 1) + 1 + (k - 1) * (n - k + 1)) % 2 else 1.0
-    _add_partial_sums(target, coeffs, _d_star_table(n, k), res, weight * sigma, ())
 
 
 @lru_cache(maxsize=None)
@@ -510,6 +477,12 @@ def _wedge_table(n: int, p: int, q: int) -> tuple:
             sign = -1.0 if inv % 2 else 1.0
             table.append((ia, ib, out_index[tuple(sorted(ca + cb))], sign))
     return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _wedge_plan(n: int, p: int, q: int) -> tuple:
+    # (comp_a, comp_b, sign) terms grouped by output, as a derivative plan.
+    return _grouped(_wedge_table(n, p, q), len(components(n, p + q)))
 
 
 def wedge(a: MatrixForm, b):
@@ -540,34 +513,31 @@ def _wedge_coeffs(a: MatrixForm, b, transpose_right: bool = False) -> np.ndarray
     held whole and no product takes a transposed view.
     """
     matvec = isinstance(b, VectorForm)
-    nout = len(components(a.grid.n, a.k + b.k))
-    out = np.empty((nout,) + b.coeffs.shape[1:])
+    plan = _wedge_plan(a.grid.n, a.k, b.k)
+    out = np.empty((len(plan),) + b.coeffs.shape[1:])
     prod = None
     flipped = np.empty(b.coeffs.shape[1:]) if transpose_right else None
-    written = set()
-    for ia, ib, io, sign in _wedge_table(a.grid.n, a.k, b.k):
-        left, right = a.coeffs[ia], b.coeffs[ib]
-        if transpose_right:
-            np.copyto(flipped, np.swapaxes(right, -1, -2))
-            right = flipped
-        first = io not in written
-        if not first and prod is None:
-            prod = np.empty(out.shape[1:])
-        target = out[io] if first else prod
-        if matvec:
-            np.einsum("...ij,...j->...i", left, right, out=target)
-        else:
-            np.matmul(left, right, out=target)
-        if first:
-            # 0 + p or 0 - p, as a sum into zeros gives it, down to the
-            # sign of a zero entry
-            if sign > 0:
+    for target, (terms, _) in zip(out, plan):
+        for j, (ia, ib, sign) in enumerate(terms):
+            left, right = a.coeffs[ia], b.coeffs[ib]
+            if transpose_right:
+                np.copyto(flipped, np.swapaxes(right, -1, -2))
+                right = flipped
+            if j and prod is None:
+                prod = np.empty(out.shape[1:])
+            dest = prod if j else target
+            if matvec:
+                np.einsum("...ij,...j->...i", left, right, out=dest)
+            else:
+                np.matmul(left, right, out=dest)
+            # a first term is 0 + p or 0 - p, as a sum into zeros gives it,
+            # down to the sign of a zero entry
+            if j:
+                _add_scaled(target, prod, sign)
+            elif sign > 0:
                 target += 0.0
             else:
                 np.subtract(0.0, target, out=target)
-            written.add(io)
-        else:
-            _add_scaled(out[io], prod, sign)
     return out
 
 
@@ -661,7 +631,8 @@ def project_closed(form):
         raise ValueError("projection needs 1 <= k <= n")
     if form.k == form.grid.n:
         return form
-    out = _codifferential_coeffs(solve_poisson(exterior_derivative(form)))
+    out = _image(solve_poisson(exterior_derivative(form)).coeffs,
+                 _codiff_plan(form.grid.n, form.k + 1), form.grid.res)
     np.subtract(form.coeffs, out, out=out)
     return form._like(out)
 

@@ -51,16 +51,16 @@ class GaugeDiagnostics:
     energy: float          # squared L2 size of the gauged connection
     criticality: float     # L2 size of d*(Omega_P)
     iterations: int
-    harmonic: float | None = None        # L2 size of the constant part of Omega_P
-    representation: float | None = None  # L2 size of d*(xi) - Omega_P
+    harmonic: float        # L2 size of the constant part of Omega_P
+    representation: float  # L2 size of d*(xi) - Omega_P
 
 
 @dataclass(frozen=True)
 class GaugePair:
-    """Rotation field P, potential xi (once extracted), and run diagnostics."""
+    """Rotation field P, potential xi, and run diagnostics."""
 
     P: MatrixForm
-    xi: MatrixForm | None
+    xi: MatrixForm
     diagnostics: GaugeDiagnostics
 
     def __post_init__(self):
@@ -69,7 +69,7 @@ class GaugePair:
             raise ValueError("rotation field is not orthogonal")
         if np.linalg.det(pointwise).min() <= 0:
             raise ValueError("rotation field has non-positive determinant")
-        if self.xi is not None and self.xi.antisymmetry_defect() > 1e-10:
+        if self.xi.antisymmetry_defect() > 1e-10:
             raise ValueError("potential is not antisymmetric-valued")
 
 
@@ -111,25 +111,18 @@ def _polar(pointwise: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _rotation_distance(pointwise: np.ndarray):
-    """rotation_distance plus the singular values of each matrix.
+def rotation_distance(pointwise: np.ndarray):
+    """Pointwise Frobenius distance to the rotation group via polar projection.
 
-    With A = U S V^T the polar factor is U V^T and A - U V^T = U (S - I) V^T,
-    so the distance is the l2 size of S - I: no singular vectors are taken.
+    Returns (distances, negdet, sigma); negdet marks points with non-positive
+    determinant, where the nearest rotation is ill-defined, and sigma holds
+    each matrix's singular values.  With A = U S V^T the polar factor is
+    U V^T and A - U V^T = U (S - I) V^T, so the distance is the l2 size of
+    S - I: no singular vectors are taken.
     """
     sigma = np.linalg.svd(pointwise, compute_uv=False)
     dist = np.sqrt(forms._pointwise_sq(sigma - 1.0, 0, sigma.ndim - 1))
     return dist, np.linalg.det(pointwise) <= 0, sigma
-
-
-def rotation_distance(pointwise: np.ndarray):
-    """Pointwise Frobenius distance to the rotation group via polar projection.
-
-    Returns (distances, negdet); negdet marks points with non-positive
-    determinant, where the nearest rotation is ill-defined.
-    """
-    dist, negdet, _ = _rotation_distance(pointwise)
-    return dist, negdet
 
 
 def _gauged_connection(pointwise: np.ndarray, omega: MatrixForm) -> np.ndarray:

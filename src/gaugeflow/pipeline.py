@@ -124,7 +124,7 @@ class _Context:
     def budget_components(self) -> tuple:
         _, _, report = self.solved
         parts = [("harmonic", report.harmonic_budget),
-                 ("representation", self.gauge_diagnostics.representation or 0.0),
+                 ("representation", self.gauge_diagnostics.representation),
                  ("tolerance", self.cfg.solver_tol)]
         if self.map is not None:
             parts.insert(0, ("tension", self.tension))

@@ -111,22 +111,6 @@ class StateNorm:
         assert self.total == self.sup_a + self.da_n2 + self.db_n2
 
 
-def _block_components(block):
-    """A block's coefficient components, one at a time.
-
-    A (new, old) pair of forms yields new - old, component by component,
-    in one reused array.
-    """
-    if not isinstance(block, tuple):
-        yield from block.coeffs
-        return
-    new, old = block
-    diff = np.empty(new.coeffs.shape[1:])
-    for new_comp, old_comp in zip(new.coeffs, old.coeffs):
-        np.subtract(new_comp, old_comp, out=diff)
-        yield diff
-
-
 def _gradient_size(components, grid: Grid, q: float) -> float:
     """Lorentz L^{n,q} norm of the full first derivative of these components."""
     square = forms._gradient_sq(components, grid.n, grid.res)
@@ -136,32 +120,39 @@ def _gradient_size(components, grid: Grid, q: float) -> float:
 def gradient_norm(form, q: float) -> float:
     """Lorentz L^{n,q} norm of the full first derivative of a form.
 
-    A (new, old) pair of forms stands for their difference.  One partial of
-    one component is live at a time.
+    One partial of one component is live at a time.
     """
-    grid = (form[0] if isinstance(form, tuple) else form).grid
-    return _gradient_size(_block_components(form), grid, q)
+    return _gradient_size(form.coeffs, form.grid, q)
 
 
-def state_norm(a, b) -> StateNorm:
-    """Norm of the state with blocks (a, b).
-
-    The norm of a difference of states passes each block as a (new, old)
-    pair (see _difference_norm): the 0-form's difference is formed whole,
-    the 2-form's one component at a time.
-    """
-    # b goes first, so the 0-form difference is not live beside its work
-    db = gradient_norm(b, 2.0)
-    if isinstance(a, tuple):
-        a = a[0] - a[1]
+def _norm_beside(a: MatrixForm, db: float) -> StateNorm:
+    """Norm of the state with 0-form block a and 2-form gradient size db."""
     sup_a = forms.sup_norm(a)
     da = _gradient_size(a.coeffs, a.grid, 2.0)
     return StateNorm(sup_a, da, db, sup_a + da + db)
 
 
+def state_norm(a: MatrixForm, b: MatrixForm) -> StateNorm:
+    """Norm of the state with blocks (a, b)."""
+    return _norm_beside(a, gradient_norm(b, 2.0))
+
+
+def _differences(new: np.ndarray, old: np.ndarray):
+    """new - old, one component at a time, in one reused array."""
+    diff = np.empty(new.shape[1:])
+    for new_comp, old_comp in zip(new, old):
+        np.subtract(new_comp, old_comp, out=diff)
+        yield diff
+
+
 def _difference_norm(new: PairState, old: PairState) -> StateNorm:
-    """state_norm of new - old, with no full-size difference block."""
-    return state_norm((new.a, old.a), (new.b, old.b))
+    """state_norm of new - old, with no full-size 2-form difference.
+
+    The 2-form difference streams one component at a time, and goes first
+    so the 0-form difference, formed whole, is not live beside its work.
+    """
+    db = _gradient_size(_differences(new.b.coeffs, old.b.coeffs), new.b.grid, 2.0)
+    return _norm_beside(new.a - old.a, db)
 
 
 def random_state(grid: Grid, m: int, rng: np.random.Generator,
@@ -212,12 +203,10 @@ class PicardMap:
 
     @classmethod
     def of(cls, gauge_pair: GaugePair) -> "PicardMap":
-        if gauge_pair.xi is None:
-            raise ValueError("gauge pair is incomplete: extract the potential first")
         return cls(gauge._transpose(gauge_pair.P.coeffs[0]),
                    forms.exterior_derivative(gauge_pair.P),
                    forms.exterior_derivative(forms.hodge_star(gauge_pair.xi)),
-                   gauge_pair.diagnostics.harmonic or 0.0)
+                   gauge_pair.diagnostics.harmonic)
 
 
 def _scale(arr: np.ndarray, weight: float) -> None:
@@ -248,13 +237,13 @@ def picard_step(state: PairState, pmap: PicardMap) -> PairState:
     Each source is built in place, solved in its own array, and every
     full-size temporary goes as soon as it is consumed, so the step's
     working set stays a few 2-forms.  d(star b) and the starred
-    codifferential of the transported current run through the star and
-    derivative tables, with no copy of a starred form and no full-size
-    codifferential.
+    codifferential of the transported current run as derivative plans,
+    with no copy of a starred form and no full-size codifferential.
     """
     grid = state.a.grid
     da = forms.exterior_derivative(state.a)
-    d_star_b = MatrixForm(grid, grid.n - 1, forms._d_star_coeffs(state.b))
+    d_star_b = MatrixForm(grid, grid.n - 1, forms._image(
+        state.b.coeffs, forms._d_star_plan(grid.n, 2), grid.res))
 
     # Both wedges are top forms, whose star is their one component, sign +1.
     scalar = forms._wedge_coeffs(da, pmap.d_star_xi)
@@ -270,8 +259,8 @@ def picard_step(state: PairState, pmap: PicardMap) -> PairState:
     a_tilde = state.a.coeffs[0] + np.eye(state.a.m)
     current = _transported_current(a_tilde, pmap)
     del a_tilde
-    forms._add_star_codifferential(two, current, grid.n, grid.n - 1, grid.res,
-                                   TWO_FORM_TRANSPORT_COUPLING)
+    forms._add_image(two, current, forms._star_codiff_plan(grid.n, grid.n - 1), grid.res,
+                     TWO_FORM_TRANSPORT_COUPLING)
     del current
     b_new = _solve_source(grid, 2, two, "2-form")
     del two
@@ -304,7 +293,7 @@ def _residual_norms(dA: MatrixForm, A: MatrixForm, B: MatrixForm, omega: MatrixF
     for da_c, omega_c, r_c in zip(dA.coeffs, omega.coeffs, r):
         np.matmul(A.coeffs[0], omega_c, out=r_c)
         np.subtract(da_c, r_c, out=r_c)
-    forms._add_codifferential(r, B.coeffs, grid.n, B.k, grid.res)
+    forms._add_image(r, B.coeffs, forms._codiff_plan(grid.n, B.k), grid.res, 1.0)
     r = MatrixForm(grid, 1, r)
     return forms.l2_norm(r), float(forms.pointwise_norm(r).max())
 
@@ -415,7 +404,7 @@ def solve_pair(omega: MatrixForm, pmap: PicardMap, tol: float = 1e-8,
     # the polar decomposition behind the rotation distance, are those of id + a.
     # The last iterate norm is that of the final state, so it holds sup |a|.
     sup_a = norms[-1].sup_a
-    dist, negdet, sigma = gauge._rotation_distance(A.coeffs[0])
+    dist, negdet, sigma = gauge.rotation_distance(A.coeffs[0])
     smallest = sigma.min()
     if smallest < 1.0 - sup_a - 1e-8:
         raise SolverError(
@@ -445,12 +434,10 @@ def solve_pair(omega: MatrixForm, pmap: PicardMap, tol: float = 1e-8,
     return A, B, report
 
 
-def measure_contraction(gauge_pair: GaugePair, rng: np.random.Generator,
+def measure_contraction(pmap: PicardMap, rng: np.random.Generator,
                         samples: int = 3) -> float:
     """Largest measured ratio of the map over random unit-norm state pairs."""
-    grid = gauge_pair.P.grid
-    m = gauge_pair.P.m
-    pmap = PicardMap.of(gauge_pair)
+    grid, m = pmap.dp.grid, pmap.dp.m
     worst = 0.0
     for _ in range(samples):
         s1 = random_state(grid, m, rng)

@@ -192,7 +192,7 @@ def bound_ratios(A: MatrixForm, B: MatrixForm, omega: MatrixForm) -> BoundTable:
     if A.k != 0 or B.k != 2 or omega.k != 1:
         raise ValueError("need a 0-form, a 2-form and a 1-form connection")
     n = float(A.grid.n)
-    dist, negdet = gauge.rotation_distance(A.coeffs[0])
+    dist, negdet, _ = gauge.rotation_distance(A.coeffs[0])
     valid = ~negdet
     rotation_sup = float(dist[valid].max()) if valid.any() else float("nan")
     da_n1 = lorentz.lorentz_norm(forms.exterior_derivative(A), n, 1.0)

@@ -164,9 +164,9 @@ def test_contraction_regime():
     for eps in (1e-3, 1e-2):
         omega = synth.synthetic_connection(
             grid, 3, np.random.default_rng(5), kmax=2, target_norm=eps)
-        pair = gauge.minimize_gauge(omega)
+        pmap = solver.PicardMap.of(gauge.minimize_gauge(omega))
         kappas.append(solver.measure_contraction(
-            pair, np.random.default_rng(6), samples=3))
+            pmap, np.random.default_rng(6), samples=3))
     assert all(kappa < 0.5 for kappa in kappas)
     assert kappas[0] < kappas[1]
 

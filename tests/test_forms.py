@@ -1,6 +1,7 @@
 """Spectral exterior calculus: analytic oracles first, then structural laws."""
 
 import collections
+import importlib
 import inspect
 import re
 import sys
@@ -570,68 +571,55 @@ class TestDifferentiationMatrix:
             assert np.array_equal(exterior_derivative(form).coeffs, want)
 
 
-class TestCodifferentialTable:
-    """d* runs one signed table through the exterior derivative's kernel."""
+def _composition(op, form):
+    """A derivative plan's operator as the public operators compose it."""
+    n, k = form.grid.n, form.k
+    if op == "d":
+        return exterior_derivative(form)
+    if op == "d*star":
+        return exterior_derivative(hodge_star(form))
+    if op == "star*d*":
+        return hodge_star(codifferential(form))
+    sign = -1.0 if (n * (k + 1) + 1) % 2 else 1.0
+    return sign * hodge_star(exterior_derivative(hodge_star(form)))
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_matches_star_d_star(self, n, m):
-        # every sign is a product of +-1 and every output sums its terms in
-        # the order of d on the starred form, so no bit moves; a zero value
-        # entry (as on the diagonal of antisymmetric values) keeps its sign
-        grid = Grid(n, 8)
-        rng = np.random.default_rng(10 * n + m)
-        for k in range(1, n + 1):
-            coeffs = rng.standard_normal((len(components(n, k)),) + grid.shape + (m, m))
-            coeffs[..., 0, 0] = 0.0
-            form = MatrixForm(grid, k, coeffs)
-            sign = -1.0 if (n * (k + 1) + 1) % 2 else 1.0
-            want = sign * hodge_star(exterior_derivative(hodge_star(form)))
-            got = codifferential(form)
-            assert got.k == k - 1
-            assert np.array_equal(got.coeffs, want.coeffs)
-            assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
-            d_star = exterior_derivative(hodge_star(form)).coeffs
-            assert np.array_equal(forms._d_star_coeffs(form).view(np.uint64),
-                                  d_star.view(np.uint64))
 
-    @pytest.mark.parametrize("weight", [1.0, -1.0])
+PLANS = {"d": forms._d_plan, "d*star": forms._d_star_plan,
+         "d*": forms._codiff_plan, "star*d*": forms._star_codiff_plan}
+
+
+class TestDerivativePlans:
+    """d, d *, d* and * d* run as cached plans through two executors."""
+
+    @pytest.mark.parametrize("executor", ["image", "add", "subtract"])
+    @pytest.mark.parametrize("op", list(PLANS))
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_star_codifferential_kernel_matches_star_of_codifferential(self, n, m, weight):
-        # * d* = sigma d * on k-forms, so one signed pass over the d * table
-        # adds what starring the codifferential adds, bit for bit; the zero
-        # value entries keep their sign
+    def test_matches_the_public_composition(self, n, m, op, executor):
+        # every sign is a product of +-1, applied after the sum, and every
+        # output sums its terms in the order of d on the (starred) form, so
+        # no bit moves; x - y is bitwise x + (-y), and a zero value entry
+        # (as on the diagonal of antisymmetric values) keeps its sign
         grid = Grid(n, 8)
-        rng = np.random.default_rng(100 * n + 10 * m + int(weight > 0))
-        for k in range(1, n + 1):
+        rng = np.random.default_rng(100 * n + 10 * m + len(op))
+        degrees = range(n) if op == "d" else range(1, n + 1)
+        for k in degrees:
             coeffs = rng.standard_normal((len(components(n, k)),) + grid.shape + (m, m))
             coeffs[..., 0, 0] = 0.0
             form = MatrixForm(grid, k, coeffs)
-            target = rng.standard_normal(
-                (len(components(n, n - k + 1)),) + grid.shape + (m, m))
-            target[..., 0, 0] = 0.0
-            star_codiff = hodge_star(codifferential(form)).coeffs
-            want = target + star_codiff if weight > 0 else target - star_codiff
-            forms._add_star_codifferential(target, form.coeffs, n, k, grid.res, weight)
-            assert np.array_equal(target.view(np.uint64), want.view(np.uint64))
-
-    @pytest.mark.parametrize("m", [1, 3])
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_codifferential_kernel_matches_adding_the_codifferential(self, n, m):
-        # each output is summed as d* sums it and subtracted where d* would
-        # negate it, and x - y is bitwise x + (-y), down to the sign of a zero
-        grid = Grid(n, 8)
-        rng = np.random.default_rng(1000 + 10 * n + m)
-        for k in range(1, n + 1):
-            coeffs = rng.standard_normal((len(components(n, k)),) + grid.shape + (m, m))
-            coeffs[..., 0, 0] = 0.0
-            form = MatrixForm(grid, k, coeffs)
-            target = rng.standard_normal((len(components(n, k - 1)),) + grid.shape + (m, m))
-            target[..., 0, 0] = 0.0
-            want = target + codifferential(form).coeffs
-            forms._add_codifferential(target, form.coeffs, n, k, grid.res)
-            assert np.array_equal(target.view(np.uint64), want.view(np.uint64))
+            plan = PLANS[op](n, k)
+            want = _composition(op, form).coeffs
+            if executor == "image":
+                got = forms._image(form.coeffs, plan, grid.res)
+            else:
+                target = rng.standard_normal(want.shape)
+                target[..., 0, 0] = 0.0
+                got = target.copy()
+                weight = 1.0 if executor == "add" else -1.0
+                forms._add_image(got, form.coeffs, plan, grid.res, weight)
+                want = target + want if weight > 0 else target - want
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_working_set_of_a_two_form(self, transient_peak):
         # The output plus one work and one product array of a component:
@@ -748,6 +736,20 @@ class TestTransformCount:
 # dot product depends on the thread count.
 SLOW_OR_BLAS_REDUCTIONS = (r"\*\* 2\)\.sum\(", r"np\.sum\([^\n]*\*\* 2", r"\.mean\(axis=",
                            r"np\.vdot\(", r"np\.dot\(")
+
+
+# The derivative kernel's choices (the signed matrices, the in-place sums,
+# the operator tables) stay behind forms' plans and executors.
+KERNEL_INTERNALS = r"\b_(?:sum_partials|differentiate_into|negated_derivative_matrix|\w+_table)\b"
+
+
+class TestKernelBoundary:
+    @pytest.mark.parametrize("module", ["cli", "config", "connection", "fieldio", "gauge",
+                                        "lorentz", "maps", "pipeline", "solver", "synth",
+                                        "verify"])
+    def test_no_module_but_forms_names_the_kernel(self, module):
+        source = inspect.getsource(importlib.import_module(f"gaugeflow.{module}"))
+        assert not re.findall(KERNEL_INTERNALS, source)
 
 
 class TestReductions:

@@ -76,11 +76,10 @@ class TestRotationDistance:
         want = np.sqrt(((pointwise - u @ vh) ** 2).sum(axis=(-1, -2)))
         negdet = np.linalg.det(pointwise) <= 0
         assert 10 <= negdet.sum() <= 118
-        dist, got_negdet, got_sigma = gauge._rotation_distance(pointwise)
+        dist, got_negdet, got_sigma = gauge.rotation_distance(pointwise)
         assert np.abs(dist - want).max() <= 1e-12
         assert np.array_equal(got_negdet, negdet)
         assert np.abs(got_sigma - sigma).max() <= 1e-12
-        assert np.array_equal(gauge.rotation_distance(pointwise)[0], dist)
 
 
 class TestGaugeEnergy:
@@ -300,11 +299,13 @@ class TestGaugePairValidation:
         grid = Grid(2, 8)
         bad = MatrixForm(grid, 0, np.full((1,) + grid.shape + (2, 2), 0.5))
         with pytest.raises(ValueError, match="orthogonal"):
-            gauge.GaugePair(bad, None, gauge.GaugeDiagnostics(0.0, 0.0, 0))
+            gauge.GaugePair(bad, MatrixForm.zeros(grid, 2, 2),
+                            gauge.GaugeDiagnostics(0.0, 0.0, 0, 0.0, 0.0))
 
     def test_rejects_reflections(self):
         grid = Grid(2, 8)
         flip = np.broadcast_to(np.diag([-1.0, 1.0]), grid.shape + (2, 2)).copy()
         p = MatrixForm(grid, 0, flip[None])
         with pytest.raises(ValueError, match="determinant"):
-            gauge.GaugePair(p, None, gauge.GaugeDiagnostics(0.0, 0.0, 0))
+            gauge.GaugePair(p, MatrixForm.zeros(grid, 2, 2),
+                            gauge.GaugeDiagnostics(0.0, 0.0, 0, 0.0, 0.0))

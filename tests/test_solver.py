@@ -19,12 +19,6 @@ def identity_pair(grid: Grid, m: int, xi: MatrixForm | None = None) -> gauge.Gau
     return gauge.GaugePair(p, xi, diag)
 
 
-def incomplete_pair(grid: Grid, m: int) -> gauge.GaugePair:
-    """The identity rotation with no potential extracted."""
-    p = identity_pair(grid, m).P
-    return gauge.GaugePair(p, None, gauge.GaugeDiagnostics(0.0, 0.0, 0))
-
-
 @pytest.fixture(scope="module")
 def grid():
     return Grid(3, 16)
@@ -81,8 +75,8 @@ class TestStateNorm:
         assert solver.gradient_norm(b, 2.0) <= 1e-13
 
     def test_difference_norm_matches_the_formed_difference(self, grid, mixed_setup):
-        # the two-state path forms the difference one component at a time;
-        # the blocks and the sums are the same up to summation order
+        # the 2-form difference streams one component at a time, the 0-form
+        # difference is formed whole; the sums agree up to summation order
         _, pair = mixed_setup
         s1 = solver.random_state(grid, 3, np.random.default_rng(7))
         s2 = solver.picard_step(s1, solver.PicardMap.of(pair))
@@ -91,7 +85,6 @@ class TestStateNorm:
         assert got.sup_a == want.sup_a
         assert got.da_n2 == pytest.approx(want.da_n2, rel=1e-14)
         assert got.db_n2 == pytest.approx(want.db_n2, rel=1e-14)
-        assert solver.gradient_norm((s2.b, s1.b), 2.0) == got.db_n2
 
     def test_working_set(self, grid, mixed_setup, transient_peak):
         # One partial of one component is live at a time, and a difference
@@ -161,11 +154,6 @@ class TestPicardStep:
         assert forms.l2_norm(image.a) <= 1e-15
         assert forms.l2_norm(image.b) <= 1e-15
 
-    def test_incomplete_pair_rejected(self, grid):
-        partial = incomplete_pair(grid, 3)
-        with pytest.raises(ValueError, match="incomplete"):
-            solver.PicardMap.of(partial)
-
     def test_zero_state_recovers_potential(self, grid, coexact_setup):
         # From (0, 0) the scalar source vanishes and the 2-form block lands
         # exactly on the gauge potential: -lap(xi) = d(d* xi) for closed xi.
@@ -193,8 +181,8 @@ class TestPicardStep:
 
     def test_map_differentiates_the_rotation_once(self, grid, mixed_setup, monkeypatch):
         # dP depends only on the gauge pair: building the map differentiates
-        # P once, a solve from the map (probe included) never, and one
-        # contraction measurement once.
+        # P once, and neither a solve from the map (probe included) nor a
+        # contraction measurement on it does again.
         omega, pair = mixed_setup
         d = forms.exterior_derivative
         seen = []
@@ -210,8 +198,7 @@ class TestPicardStep:
         _, _, report = solver.solve_pair(omega, pmap)
         assert report.iterations >= 2 and report.uniqueness_gap is not None
         assert len(seen) == 1
-        seen.clear()
-        solver.measure_contraction(pair, np.random.default_rng(3))
+        solver.measure_contraction(pmap, np.random.default_rng(3))
         assert len(seen) == 1
 
     def test_working_set(self, grid, mixed_setup, transient_peak):
@@ -229,7 +216,7 @@ class TestPicardStep:
 
     def test_contraction_ratio_small(self, grid, coexact_setup):
         _, pair = coexact_setup
-        kappa = solver.measure_contraction(pair, np.random.default_rng(3))
+        kappa = solver.measure_contraction(solver.PicardMap.of(pair), np.random.default_rng(3))
         assert kappa < 0.5
         assert kappa < 0.01
 
@@ -239,8 +226,8 @@ class TestPicardStep:
             omega = synth.synthetic_connection(
                 grid, 3, np.random.default_rng(11), kmax=2,
                 exact_frac=0.3, target_norm=size)
-            pair = gauge.minimize_gauge(omega)
-            kappas.append(solver.measure_contraction(pair, np.random.default_rng(3)))
+            pmap = solver.PicardMap.of(gauge.minimize_gauge(omega))
+            kappas.append(solver.measure_contraction(pmap, np.random.default_rng(3)))
         assert kappas[0] < kappas[1] < 0.5
 
 
@@ -346,20 +333,24 @@ class TestSolvePair:
     def test_probe_takes_no_iterate_norms(self, grid, coexact_setup, monkeypatch):
         # The report keeps only the main run's iterate norms, so the probe
         # measures its start, its differences and its gap to the main point.
+        # Every state norm is a state_norm or a _difference_norm.
         omega, pair = coexact_setup
-        norm, iterate = solver.state_norm, solver._iterate
+        iterate = solver._iterate
         norms, steps = [], []
 
-        def counted(a, b):
-            norms.append(a)
-            return norm(a, b)
+        def counting(fn):
+            def counted(x, y):
+                norms.append(x)
+                return fn(x, y)
+            return counted
 
         def recorded(*args, **kwargs):
             result = iterate(*args, **kwargs)
             steps.append(len(result[2]))
             return result
 
-        monkeypatch.setattr(solver, "state_norm", counted)
+        for name in ("state_norm", "_difference_norm"):
+            monkeypatch.setattr(solver, name, counting(getattr(solver, name)))
         monkeypatch.setattr(solver, "_iterate", recorded)
         _, _, report = solver.solve_pair(omega, solver.PicardMap.of(pair))
         main, probe = steps
@@ -369,10 +360,10 @@ class TestSolvePair:
 
     def test_report_reuses_the_solve_derivatives(self, grid, mixed_setup, monkeypatch):
         # The residual and da_n1 share one dA, and db_n2 and sup_a are the
-        # last iterate norm's: one gradient and one sup per state norm and
-        # no more.
+        # last iterate norm's: one gradient per block and one sup per state
+        # norm and no more.
         omega, pair = mixed_setup
-        d, grad, sup = forms.exterior_derivative, solver.gradient_norm, forms.sup_norm
+        d, grad, sup = forms.exterior_derivative, solver._gradient_size, forms.sup_norm
         zero_forms, gradients, sups = [], [], []
 
         def counted_d(form):
@@ -380,22 +371,22 @@ class TestSolvePair:
                 zero_forms.append(form)
             return d(form)
 
-        def counted_grad(form, q):
-            gradients.append(form)
-            return grad(form, q)
+        def counted_grad(components, grid, q):
+            gradients.append(components)
+            return grad(components, grid, q)
 
         def counted_sup(form):
             sups.append(form)
             return sup(form)
 
         monkeypatch.setattr(forms, "exterior_derivative", counted_d)
-        monkeypatch.setattr(solver, "gradient_norm", counted_grad)
+        monkeypatch.setattr(solver, "_gradient_size", counted_grad)
         monkeypatch.setattr(forms, "sup_norm", counted_sup)
         A, B, report = solver.solve_pair(omega, solver.PicardMap.of(pair), probe_seed=None)
         assert sum(form is A for form in zero_forms) == 1
-        assert len(gradients) == 1 + 2 * report.iterations
+        assert len(gradients) == 2 * (1 + 2 * report.iterations)
         assert len(sups) == 1 + 2 * report.iterations
-        assert report.db_n2 == grad(B, 2.0)
+        assert report.db_n2 == solver.gradient_norm(B, 2.0)
         assert report.da_n1 == lorentz.lorentz_norm(d(A), 3.0, 1.0)
 
     def test_working_set(self, grid, mixed_setup, transient_peak):
@@ -425,14 +416,12 @@ class TestSolvePair:
         assert report.uniqueness_gap <= 1e-10
 
     def test_reports_the_maps_harmonic_budget(self, grid):
-        # The map carries the gauge's harmonic budget; a pair whose
-        # diagnostics have none reports zero.
+        # The map carries the gauge's harmonic budget, zero included.
         pair = identity_pair(grid, 3)
         diag = gauge.GaugeDiagnostics(0.0, 0.0, 0, 2.5e-3, 0.0)
         budgeted = gauge.GaugePair(pair.P, pair.xi, diag)
-        unbudgeted = gauge.GaugePair(pair.P, pair.xi, gauge.GaugeDiagnostics(0.0, 0.0, 0))
         omega = MatrixForm.zeros(grid, 1, 3)
-        for gauge_pair, budget in ((budgeted, 2.5e-3), (unbudgeted, 0.0)):
+        for gauge_pair, budget in ((budgeted, 2.5e-3), (pair, 0.0)):
             pmap = solver.PicardMap.of(gauge_pair)
             assert pmap.harmonic == budget
             _, _, report = solver.solve_pair(omega, pmap, probe_seed=None)
