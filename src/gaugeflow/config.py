@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .forms import Grid
+
 __all__ = ["RunConfig", "config_hash", "load_config"]
 
 MAP_KINDS = ("geodesic", "perturbed", "heatflow", "synthetic_omega")
@@ -67,13 +69,10 @@ class RunConfig:
                              f"got {self.map_kind!r}")
         if self.base not in BASES:
             raise ValueError(f"base map must be one of {BASES}, got {self.base!r}")
-        if not 2 <= self.n <= 4:
-            raise ValueError(f"dimension must be between 2 and 4, got {self.n}")
+        for res in (self.res,) + self.resolutions:
+            Grid(self.n, res)  # raises on a dimension or resolution no grid takes
         if self.m < 2:
             raise ValueError(f"target dimension must be >= 2, got {self.m}")
-        for res in (self.res,) + self.resolutions:
-            if res < 8 or res % 2:
-                raise ValueError(f"resolutions must be even and >= 8, got {res}")
         for name in ("gauge_tol", "solver_tol", "flow_time"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

@@ -59,8 +59,9 @@ def _describe(field) -> tuple[dict, np.ndarray]:
     return header, arr
 
 
-def write_field(path, field) -> None:
-    """Persist a matrix form, vector form, or map at ``path`` (plus sidecar)."""
+def write_field(path, field) -> tuple:
+    """Persist a matrix form, vector form, or map at ``path`` (plus sidecar);
+    returns the payload and sidecar paths."""
     header, arr = _describe(field)
     # The checksum and the write read the coefficients through a byte view,
     # so no copy of the payload is made.
@@ -68,9 +69,10 @@ def write_field(path, field) -> None:
     payload = memoryview(arr).cast("B")
     header["payload_bytes"] = arr.nbytes
     header["crc32"] = zlib.crc32(payload)
-    Path(path).write_bytes(payload)
-    sidecar_path(path).write_text(
-        json.dumps(header, indent=2, sort_keys=True) + "\n")
+    path, sidecar = Path(path), sidecar_path(path)
+    path.write_bytes(payload)
+    sidecar.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
+    return path, sidecar
 
 
 def _fail(reason: str):
@@ -104,6 +106,8 @@ def read_field(path):
             raise ValueError(f"degree {k} / value size {m} out of range")
     except (KeyError, TypeError, ValueError) as exc:
         _fail(f"bad geometry ({exc})")
+    if kind == "map" and k != 0:
+        _fail(f"a map is a 0-form, header declares degree {k}")
     order = [list(c) for c in forms.components(grid.n, k)]
     if header.get("component_order") != order:
         _fail("component order does not match the grid and degree")

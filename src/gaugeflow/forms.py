@@ -185,10 +185,40 @@ def _component_index(n: int, k: int) -> dict:
     return {c: i for i, c in enumerate(components(n, k))}
 
 
-class _Algebra:
-    """Pointwise linear algebra shared by both coefficient layouts."""
+@dataclass(frozen=True, eq=False)
+class _Form:
+    """Degree-k form with `_value_ndim` value axes at every grid point.
 
-    __slots__ = ()
+    The coefficient array has shape (C(n,k), res, ..., res) plus the value
+    axes, with the component axis ordered by increasing multi-index.  The
+    constructor takes ownership of the array and freezes it.
+    """
+
+    grid: Grid
+    k: int
+    coeffs: np.ndarray
+
+    _value_ndim = 0
+
+    def __post_init__(self):
+        grid, k = self.grid, self.k
+        if not 0 <= k <= grid.n:
+            raise ValueError(f"form degree {k} out of range for n={grid.n}")
+        arr = np.ascontiguousarray(self.coeffs, dtype=np.float64)
+        lead = (len(components(grid.n, k)),) + grid.shape
+        if arr.ndim != grid.n + 1 + self._value_ndim or arr.shape[: grid.n + 1] != lead:
+            raise ValueError(
+                f"coefficients have shape {arr.shape}, expected {lead} plus value axes"
+            )
+        if self._value_ndim == 2 and arr.shape[-2] != arr.shape[-1]:
+            raise ValueError("matrix values must be square")
+        arr.setflags(write=False)
+        object.__setattr__(self, "coeffs", arr)
+
+    @classmethod
+    def zeros(cls, grid: Grid, k: int, m: int):
+        shape = (len(components(grid.n, k)),) + grid.shape + (m,) * cls._value_ndim
+        return cls(grid, k, np.zeros(shape))
 
     def _like(self, coeffs, k=None):
         return type(self)(self.grid, self.k if k is None else k, coeffs)
@@ -219,52 +249,14 @@ class _Algebra:
         return self._like(-self.coeffs)
 
     @property
-    def ncomp(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
     def m(self) -> int:
         return self.coeffs.shape[-1]
 
 
-def _validate(form, value_ndim):
-    grid, k = form.grid, form.k
-    if not 0 <= k <= grid.n:
-        raise ValueError(f"form degree {k} out of range for n={grid.n}")
-    arr = np.ascontiguousarray(form.coeffs, dtype=np.float64)
-    lead = (len(components(grid.n, k)),) + grid.shape
-    if arr.ndim != grid.n + 1 + value_ndim or arr.shape[: grid.n + 1] != lead:
-        raise ValueError(
-            f"coefficients have shape {arr.shape}, expected {lead} plus value axes"
-        )
-    if value_ndim == 2 and arr.shape[-2] != arr.shape[-1]:
-        raise ValueError("matrix values must be square")
-    arr.setflags(write=False)
-    object.__setattr__(form, "coeffs", arr)
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixForm(_Algebra):
-    """Degree-k form whose coefficients are m x m matrices at every grid point.
-
-    The coefficient array has shape (C(n,k), res, ..., res, m, m) with the
-    component axis ordered by increasing multi-index.  The constructor takes
-    ownership of the array and freezes it.
-    """
-
-    grid: Grid
-    k: int
-    coeffs: np.ndarray
+class MatrixForm(_Form):
+    """Degree-k form whose coefficients are m x m matrices at every grid point."""
 
     _value_ndim = 2
-
-    def __post_init__(self):
-        _validate(self, 2)
-
-    @classmethod
-    def zeros(cls, grid: Grid, k: int, m: int) -> "MatrixForm":
-        shape = (len(components(grid.n, k)),) + grid.shape + (m, m)
-        return cls(grid, k, np.zeros(shape))
 
     @classmethod
     def identity(cls, grid: Grid, m: int) -> "MatrixForm":
@@ -278,23 +270,10 @@ class MatrixForm(_Algebra):
         return float(np.abs(self.coeffs + np.swapaxes(self.coeffs, -1, -2)).max())
 
 
-@dataclass(frozen=True, eq=False)
-class VectorForm(_Algebra):
+class VectorForm(_Form):
     """Degree-k form whose coefficients are m-vectors at every grid point."""
 
-    grid: Grid
-    k: int
-    coeffs: np.ndarray
-
     _value_ndim = 1
-
-    def __post_init__(self):
-        _validate(self, 1)
-
-    @classmethod
-    def zeros(cls, grid: Grid, k: int, m: int) -> "VectorForm":
-        shape = (len(components(grid.n, k)),) + grid.shape + (m,)
-        return cls(grid, k, np.zeros(shape))
 
 
 def partial_derivative(form, axis: int):

@@ -125,6 +125,13 @@ def rotation_distance(pointwise: np.ndarray):
     return dist, np.linalg.det(pointwise) <= 0, sigma
 
 
+def rotation_distance_sup(dist: np.ndarray, negdet: np.ndarray) -> float:
+    """Sup of the rotation distance over points with positive determinant;
+    nan when there are none, as the nearest rotation is ill-defined there."""
+    valid = ~negdet
+    return float(dist[valid].max()) if valid.any() else float("nan")
+
+
 def _gauged_connection(pointwise: np.ndarray, omega: MatrixForm) -> np.ndarray:
     """Coefficients of P^T (dP + Omega P) for a pointwise rotation array."""
     dp = forms.exterior_derivative(MatrixForm(omega.grid, 0, pointwise[None])).coeffs

@@ -147,6 +147,21 @@ def tension_residual(u: MapField) -> float:
     return float(np.sqrt(forms._sum_products(t, t) * u.grid.cell))
 
 
+def _stability_guard(grid: Grid) -> float:
+    return grid.h ** 2 / 4.0
+
+
+def flow_plan(grid: Grid, time: float, steps: int = 0) -> tuple:
+    """(tau, steps) of a heat flow over `time`; steps = 0 takes the fewest
+    steps whose tau passes heat_flow_relax's stability guard."""
+    if not steps:
+        guard = _stability_guard(grid)
+        steps = math.ceil(time / guard)
+        if time / steps > guard:  # time / guard rounded down onto an integer
+            steps += 1
+    return time / steps, steps
+
+
 def heat_flow_relax(u0: MapField, tau: float | None = None, steps: int = 100) -> MapField:
     """Semi-implicit sphere heat flow with projection to the sphere.
 
@@ -156,7 +171,7 @@ def heat_flow_relax(u0: MapField, tau: float | None = None, steps: int = 100) ->
     nominal tau is restored for the next step.
     """
     grid = u0.grid
-    stability = grid.h ** 2 / 4.0
+    stability = _stability_guard(grid)
     if tau is None:
         tau = stability
     if tau <= 0 or tau > stability:

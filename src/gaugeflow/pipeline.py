@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import functools
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +35,6 @@ class PipelineError(RuntimeError):
     """A stage failed; the message carries the stage and the config digest."""
 
 
-def _flow_plan(cfg: RunConfig, res: int) -> tuple:
-    stability = (1.0 / res) ** 2 / 4.0
-    steps = cfg.flow_steps or math.ceil(cfg.flow_time / stability)
-    return cfg.flow_time / steps, steps
-
-
 def _build_map(cfg: RunConfig, res: int):
     grid = Grid(cfg.n, res)
     if cfg.map_kind == "synthetic_omega":
@@ -54,7 +47,7 @@ def _build_map(cfg: RunConfig, res: int):
                            kmin=cfg.kmin, kmax=cfg.kmax)
     if cfg.map_kind == "perturbed":
         return u
-    tau, steps = _flow_plan(cfg, res)
+    tau, steps = maps.flow_plan(grid, cfg.flow_time, cfg.flow_steps)
     return maps.heat_flow_relax(u, tau=tau, steps=steps)
 
 
@@ -147,68 +140,75 @@ def _doc(cfg: RunConfig, stage: str, body: dict) -> dict:
             "config": cfg.as_dict(), **body}
 
 
-def _write_json(path: Path, doc: dict):
+# Each writer returns the path it wrote, and each stage runner the paths of
+# every file it wrote, in writing order.
+
+def _write_json(path: Path, doc: dict) -> Path:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return path
 
 
-def _write_csv(path: Path, header: tuple, rows):
+def _write_csv(path: Path, header: tuple, rows) -> Path:
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    return path
 
 
-def _write_plot(path: Path, columns: tuple, pairs):
+def _write_plot(path: Path, columns: tuple, pairs) -> Path:
     lines = [f"# {columns[0]} {columns[1]}"]
     lines += [f"{x:.17e} {y:.17e}" for x, y in pairs]
     path.write_text("\n".join(lines) + "\n")
+    return path
 
 
-def _stage_generate(ctx: _Context, out: Path):
+def _stage_generate(ctx: _Context, out: Path) -> list:
     cfg = ctx.cfg
     if ctx.map is None:
         raise ValueError("synthetic_omega configurations have no map to generate")
-    fieldio.write_field(out / "map.f64", ctx.map)
+    written = [*fieldio.write_field(out / "map.f64", ctx.map)]
     body = {"map_kind": cfg.map_kind,
             "tension": ctx.tension,
             "dirichlet_energy": maps.dirichlet_energy(ctx.map)}
     if cfg.map_kind == "heatflow":
-        tau, steps = _flow_plan(cfg, ctx.res)
+        tau, steps = maps.flow_plan(ctx.map.grid, cfg.flow_time, cfg.flow_steps)
         body["flow"] = {"tau": tau, "steps": steps, "time": cfg.flow_time}
-    _write_json(out / "generate.json", _doc(cfg, "generate", body))
+    return written + [_write_json(out / "generate.json", _doc(cfg, "generate", body))]
 
 
-def _stage_omega(ctx: _Context, out: Path):
+def _stage_omega(ctx: _Context, out: Path) -> list:
     omega = ctx.omega
-    fieldio.write_field(out / "omega.f64", omega)
+    written = [*fieldio.write_field(out / "omega.f64", omega)]
     body = {"l2": forms.l2_norm(omega), "sup": forms.sup_norm(omega),
             "lorentz_n2": synth.lorentz_norm_of_connection(omega),
             "antisymmetry_defect": omega.antisymmetry_defect()}
-    _write_json(out / "omega.json", _doc(ctx.cfg, "omega", body))
+    return written + [_write_json(out / "omega.json", _doc(ctx.cfg, "omega", body))]
 
 
-def _stage_gauge(ctx: _Context, out: Path):
+def _stage_gauge(ctx: _Context, out: Path) -> list:
     pair = ctx.pair
-    fieldio.write_field(out / "rotation.f64", pair.P)
-    fieldio.write_field(out / "potential.f64", pair.xi)
+    written = [*fieldio.write_field(out / "rotation.f64", pair.P),
+               *fieldio.write_field(out / "potential.f64", pair.xi)]
     diag = dataclasses.asdict(pair.diagnostics)
-    _write_json(out / "gauge.json", _doc(ctx.cfg, "gauge", diag))
+    return written + [_write_json(out / "gauge.json", _doc(ctx.cfg, "gauge", diag))]
 
 
-def _stage_solve(ctx: _Context, out: Path):
+def _stage_solve(ctx: _Context, out: Path) -> list:
     A, B, report = ctx.solved
-    fieldio.write_field(out / "a_field.f64", A)
-    fieldio.write_field(out / "b_field.f64", B)
+    written = [*fieldio.write_field(out / "a_field.f64", A),
+               *fieldio.write_field(out / "b_field.f64", B)]
     diffs = [d.total for d in report.diff_norms]
     body = dataclasses.asdict(report)
     body["diff_totals"] = diffs
-    _write_json(out / "solve.json", _doc(ctx.cfg, "solve", body))
     rows = [(i + 1, diffs[i], report.ratios[i - 1] if i else "")
             for i in range(len(diffs))]
-    _write_csv(out / "solve.csv", ("iteration", "difference", "ratio"), rows)
-    _write_plot(out / "plot_iteration_vs_kappa.dat", ("iteration", "kappa"),
-                [(float(i + 1), report.ratios[i - 1])
-                 for i in range(1, len(diffs))])
+    return written + [
+        _write_json(out / "solve.json", _doc(ctx.cfg, "solve", body)),
+        _write_csv(out / "solve.csv", ("iteration", "difference", "ratio"), rows),
+        _write_plot(out / "plot_iteration_vs_kappa.dat", ("iteration", "kappa"),
+                    [(float(i + 1), report.ratios[i - 1])
+                     for i in range(1, len(diffs))])]
 
 
 def _verify_rows(ctx: _Context, residual, bounds) -> list:
@@ -228,7 +228,7 @@ def _verify_rows(ctx: _Context, residual, bounds) -> list:
     return rows
 
 
-def _stage_verify(ctx: _Context, out: Path):
+def _stage_verify(ctx: _Context, out: Path) -> list:
     _, _, report = ctx.solved
     residual = ctx.residual_report()
     if residual.l2 > BUDGET_FACTOR * max(residual.budget, ctx.cfg.solver_tol):
@@ -245,11 +245,11 @@ def _stage_verify(ctx: _Context, out: Path):
     rows = _verify_rows(ctx, residual, bounds)
     body = {"residual": dataclasses.asdict(residual),
             "bounds": dataclasses.asdict(bounds)}
-    _write_json(out / "verify.json", _doc(ctx.cfg, "verify", body))
-    _write_csv(out / "verify.csv", ("metric", "value"), rows)
+    return [_write_json(out / "verify.json", _doc(ctx.cfg, "verify", body)),
+            _write_csv(out / "verify.csv", ("metric", "value"), rows)]
 
 
-def _stage_study(ctx: _Context, out: Path):
+def _stage_study(ctx: _Context, out: Path) -> list:
     cfg = ctx.cfg
     collected = {}
 
@@ -262,13 +262,13 @@ def _stage_study(ctx: _Context, out: Path):
     rows = [(res, 1.0 / res, collected[res].l2, collected[res].sup,
              collected[res].budget, report.order)
             for res in cfg.resolutions]
-    _write_json(out / "study.json",
-                _doc(cfg, "study", {"residual": dataclasses.asdict(report)}))
-    _write_csv(out / "study.csv",
-               ("resolution", "h", "residual_l2", "residual_sup",
-                "budget", "order"), rows)
-    _write_plot(out / "plot_h_vs_residual.dat", ("h", "residual_l2"),
-                [(1.0 / res, collected[res].l2) for res in cfg.resolutions])
+    return [_write_json(out / "study.json",
+                        _doc(cfg, "study", {"residual": dataclasses.asdict(report)})),
+            _write_csv(out / "study.csv",
+                       ("resolution", "h", "residual_l2", "residual_sup",
+                        "budget", "order"), rows),
+            _write_plot(out / "plot_h_vs_residual.dat", ("h", "residual_l2"),
+                        [(1.0 / res, collected[res].l2) for res in cfg.resolutions])]
 
 
 _RUNNERS = {
@@ -278,18 +278,6 @@ _RUNNERS = {
     "solve": _stage_solve,
     "verify": _stage_verify,
     "study": _stage_study,
-}
-
-_ARTIFACTS = {
-    "generate": ("map.f64", "map.f64.json", "generate.json"),
-    "omega": ("omega.f64", "omega.f64.json", "omega.json"),
-    "gauge": ("rotation.f64", "rotation.f64.json",
-              "potential.f64", "potential.f64.json", "gauge.json"),
-    "solve": ("a_field.f64", "a_field.f64.json",
-              "b_field.f64", "b_field.f64.json",
-              "solve.json", "solve.csv", "plot_iteration_vs_kappa.dat"),
-    "verify": ("verify.json", "verify.csv"),
-    "study": ("study.json", "study.csv", "plot_h_vs_residual.dat"),
 }
 
 
@@ -317,10 +305,10 @@ def run(cfg: RunConfig, command: str) -> dict:
     written = {}
     for stage in _chain(cfg, command):
         try:
-            _RUNNERS[stage](ctx, out)
+            paths = _RUNNERS[stage](ctx, out)
         except Exception as exc:
             raise PipelineError(
                 f"stage {stage} failed (config {config_hash(cfg)}): {exc}"
             ) from exc
-        written[stage] = [str(out / name) for name in _ARTIFACTS[stage]]
+        written[stage] = [str(path) for path in paths]
     return written

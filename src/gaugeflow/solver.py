@@ -295,7 +295,7 @@ def _residual_norms(dA: MatrixForm, A: MatrixForm, B: MatrixForm, omega: MatrixF
         np.subtract(da_c, r_c, out=r_c)
     forms._add_image(r, B.coeffs, forms._codiff_plan(grid.n, B.k), grid.res, 1.0)
     r = MatrixForm(grid, 1, r)
-    return forms.l2_norm(r), float(forms.pointwise_norm(r).max())
+    return forms.l2_norm(r), forms.sup_norm(r)
 
 
 def _assemble(state: PairState, pmap: PicardMap) -> MatrixForm:
@@ -375,7 +375,7 @@ def solve_pair(omega: MatrixForm, pmap: PicardMap, tol: float = 1e-8,
     of what the construction claims).
     """
     grid, m = omega.grid, omega.m
-    size = lorentz.lorentz_norm(omega, float(grid.n), 2.0)
+    size = synth.lorentz_norm_of_connection(omega)
     if size >= regime_limit * (1.0 - REGIME_RTOL):
         raise SolverError(
             f"outside contraction regime: ||omega|| = {size:.3e} >= {regime_limit:.3e}", [])
@@ -424,7 +424,7 @@ def solve_pair(omega: MatrixForm, pmap: PicardMap, tol: float = 1e-8,
         da_n1=lorentz.lorentz_norm(dA, float(grid.n), 1.0),
         # the last iterate norm is that of (a, B), so it holds B's gradient size
         db_n2=norms[-1].db_n2,
-        rotation_distance_sup=float(dist.max()) if not negdet.any() else float("nan"),
+        rotation_distance_sup=gauge.rotation_distance_sup(dist, negdet),
         negdet_points=int(negdet.sum()),
         omega_n2=size,
         harmonic_budget=pmap.harmonic,

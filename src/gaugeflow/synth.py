@@ -137,5 +137,6 @@ def synthetic_connection(grid: Grid, m: int, rng: np.random.Generator,
 
 
 def lorentz_norm_of_connection(omega: MatrixForm) -> float:
-    """The L^{n,2} norm that controls the contraction regime."""
+    """The L^{n,2} size of a connection, which controls the contraction
+    regime: the solver's guard, the bound table and omega.json read it."""
     return lorentz.lorentz_norm(omega, float(omega.grid.n), 2.0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import connection, forms, gauge, lorentz, solver
+from . import connection, forms, gauge, lorentz, solver, synth
 from .forms import MatrixForm, VectorForm
 from .maps import MapField, map_gradient
 
@@ -131,7 +131,7 @@ def conservation_residual(A: MatrixForm, B: MatrixForm, u: MapField,
     gap = float(np.abs(density - divergence).max())
     # Rounding in the two paths grows with the flux size and the largest
     # spectral symbol; a sign error shows up at the size of dJ itself.
-    scale = max(1.0, float(forms.pointwise_norm(current).max()) * np.pi * grid.res)
+    scale = max(1.0, forms.sup_norm(current) * np.pi * grid.res)
     if gap > TWO_PATH_TOL * scale:
         raise RuntimeError(
             f"conservation current paths disagree: gap {gap:.3e} "
@@ -155,7 +155,7 @@ def conservation_residual(A: MatrixForm, B: MatrixForm, u: MapField,
 
     return ResidualReport(
         l2=forms.l2_norm(residual),
-        sup=float(forms.pointwise_norm(residual).max()),
+        sup=forms.sup_norm(residual),
         budget=float(sum(value for _, value in budget_components)),
         components=components,
         coordinate_gap=gap,
@@ -177,7 +177,7 @@ def sphere_divergence_residual(u: MapField,
     pair_once = 1.0 / np.sqrt(2.0)
     return ResidualReport(
         l2=pair_once * forms.l2_norm(residual),
-        sup=pair_once * float(forms.pointwise_norm(residual).max()),
+        sup=pair_once * forms.sup_norm(residual),
     )
 
 
@@ -185,20 +185,18 @@ def bound_ratios(A: MatrixForm, B: MatrixForm, omega: MatrixForm) -> BoundTable:
     """Sizes in the existence estimate; the ratio measures its constant.
 
     Points with nonpositive determinant make the rotation distance ill
-    posed; they are counted separately and excluded from the sup.  The
-    pipeline takes the same sizes from the solver's report; this is the
-    independent computation from the fields.
+    posed; they are counted separately and excluded from the sup
+    (gauge.rotation_distance_sup).  The pipeline takes the same sizes from
+    the solver's report; this is the independent computation from the fields.
     """
     if A.k != 0 or B.k != 2 or omega.k != 1:
         raise ValueError("need a 0-form, a 2-form and a 1-form connection")
-    n = float(A.grid.n)
     dist, negdet, _ = gauge.rotation_distance(A.coeffs[0])
-    valid = ~negdet
-    rotation_sup = float(dist[valid].max()) if valid.any() else float("nan")
-    da_n1 = lorentz.lorentz_norm(forms.exterior_derivative(A), n, 1.0)
+    da_n1 = lorentz.lorentz_norm(forms.exterior_derivative(A), float(A.grid.n), 1.0)
     db_n2 = solver.gradient_norm(B, 2.0)
-    omega_n2 = lorentz.lorentz_norm(omega, n, 2.0)
-    return BoundTable.from_sizes(rotation_sup, int(negdet.sum()), da_n1, db_n2, omega_n2)
+    return BoundTable.from_sizes(
+        gauge.rotation_distance_sup(dist, negdet), int(negdet.sum()), da_n1, db_n2,
+        synth.lorentz_norm_of_connection(omega))
 
 
 def convergence_study(evaluate, resolutions) -> ResidualReport:

@@ -70,15 +70,33 @@ def tree_bytes(root: Path) -> dict:
 
 
 class TestCommands:
-    def test_verify_writes_the_manifest(self, synthetic_ini, tmp_path, capsys):
-        out = tmp_path / "run"
-        assert cli.main(["verify", "--config", str(synthetic_ini),
-                         "--out", str(out)]) == 0
-        for stage in ("omega", "gauge", "solve", "verify"):
-            for name in pipeline._ARTIFACTS[stage]:
-                assert (out / name).is_file(), name
-        listed = capsys.readouterr().out
-        assert "verify.csv" in listed
+    def test_verify_writes_the_manifest(self, synthetic_ini, heatflow_ini, tmp_path,
+                                        capsys):
+        # The paths run() returns are exactly the files in the run directory.
+        runs = [("verify", synthetic_ini, []), ("verify", heatflow_ini, []),
+                ("generate", heatflow_ini, []),
+                ("study", heatflow_ini, ["study.resolutions=8 16 32"])]
+        for i, (command, ini, overrides) in enumerate(runs):
+            out = tmp_path / f"run{i}"
+            cfg = dataclasses.replace(config.load_config(ini, overrides), out_dir=str(out))
+            written = pipeline.run(cfg, command)
+            assert tuple(written) == pipeline._chain(cfg, command)
+            paths = [path for stage in written.values() for path in stage]
+            assert sorted(paths) == sorted(str(path) for path in out.iterdir())
+        # The CLI lists them stage by stage, each sidecar after its payload.
+        out = tmp_path / "listed"
+        assert cli.main(["verify", "--config", str(heatflow_ini), "--out", str(out)]) == 0
+        listed = [line.replace(str(out) + os.sep, "")
+                  for line in capsys.readouterr().out.splitlines()]
+        assert listed == [
+            "generate: map.f64", "generate: map.f64.json", "generate: generate.json",
+            "omega: omega.f64", "omega: omega.f64.json", "omega: omega.json",
+            "gauge: rotation.f64", "gauge: rotation.f64.json",
+            "gauge: potential.f64", "gauge: potential.f64.json", "gauge: gauge.json",
+            "solve: a_field.f64", "solve: a_field.f64.json",
+            "solve: b_field.f64", "solve: b_field.f64.json", "solve: solve.json",
+            "solve: solve.csv", "solve: plot_iteration_vs_kappa.dat",
+            "verify: verify.json", "verify: verify.csv"]
 
     def test_reports_are_self_describing(self, synthetic_ini, tmp_path):
         out = tmp_path / "run"
@@ -138,6 +156,18 @@ class TestCommands:
         assert doc["flow"]["steps"] >= 1
         u = fieldio.read_field(out / "map.f64")
         assert u.unit_sphere
+
+    def test_flow_on_the_stability_guard_runs(self, tmp_path):
+        # At res 12, flow_time / (h^2/4) rounds to 19.0, but flow_time / 19
+        # lies an ulp above h^2/4.
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "heatflow_study.ini"
+        assert cli.main(["generate", "--config", str(shipped), "--set", "grid.res=12",
+                         "--set", "map.kmin=2", "--set", "map.kmax=2",
+                         "--set", "map.flow_time=0.03298611111111111",
+                         "--out", str(tmp_path / "run")]) == 0
+        doc = json.loads((tmp_path / "run" / "generate.json").read_text())
+        assert doc["flow"]["steps"] == 20
+        assert doc["flow"]["tau"] <= (1.0 / 12) ** 2 / 4.0
 
     def test_verify_measures_the_tension_once(self, heatflow_ini, tmp_path, monkeypatch):
         # generate.json and the residual budget report the same tension.

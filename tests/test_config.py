@@ -85,6 +85,7 @@ class TestValidation:
         ({"map_kind": "geodesic", "wave": (0, 0, 0)}, "wave"),
         ({"map_kind": "geodesic", "wave": (1, 0)}, "wave"),
         ({"omega_kmax": 0}, "omega kmax"),
+        ({"n": 4, "res": 216}, "address budget"),
     ])
     def test_bad_values_rejected(self, changes, hint):
         with pytest.raises(ValueError, match=hint):

@@ -82,6 +82,14 @@ class TestRotationDistance:
         assert np.abs(got_sigma - sigma).max() <= 1e-12
 
 
+    def test_sup_skips_the_points_with_non_positive_determinant(self):
+        dist = np.array([[0.1, 5.0], [0.3, 0.2]])
+        negdet = np.array([[False, True], [False, False]])
+        assert gauge.rotation_distance_sup(dist, negdet) == 0.3
+        assert gauge.rotation_distance_sup(dist, np.zeros_like(negdet)) == 5.0
+        assert np.isnan(gauge.rotation_distance_sup(dist, np.ones_like(negdet)))
+
+
 class TestGaugeEnergy:
     def test_identity_rotation_returns_l2_squared(self, rng):
         grid = Grid(3, 8)

@@ -30,7 +30,7 @@ def omega(grid):
 class TestRoundTrip:
     def test_matrix_form_bitwise(self, tmp_path, omega):
         path = tmp_path / "omega.f64"
-        fieldio.write_field(path, omega)
+        assert fieldio.write_field(path, omega) == (path, fieldio.sidecar_path(path))
         back = fieldio.read_field(path)
         assert isinstance(back, MatrixForm)
         assert back.grid == omega.grid and back.k == omega.k
@@ -178,6 +178,18 @@ class TestCorruption:
         rewrite_header(stored, res=7)
         with pytest.raises(ValueError, match="corrupt field: bad geometry"):
             fieldio.read_field(stored)
+
+    def test_map_of_nonzero_degree_rejected(self, tmp_path):
+        # A 1-form whose first component lies on the sphere, relabelled as a
+        # map: size, component order and checksum all match the header, but
+        # reading it as a map would drop the second component.
+        grid = Grid(2, 8)
+        u = maps.geodesic_map(grid, 3, (1, 0))
+        path = tmp_path / "form.f64"
+        fieldio.write_field(path, VectorForm(grid, 1, np.stack([u.values, u.values])))
+        rewrite_header(path, kind="map", unit_sphere=True)
+        with pytest.raises(ValueError, match="corrupt field: a map is a 0-form"):
+            fieldio.read_field(path)
 
     def test_sphere_flag_enforced_on_read(self, tmp_path, grid):
         values = np.full(grid.shape + (2,), 0.5)

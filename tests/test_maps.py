@@ -174,3 +174,27 @@ class TestHeatFlow:
         monkeypatch.setattr(maps, "dirichlet_energy", lambda u: float(next(counter)))
         with pytest.raises(RuntimeError, match="flow stagnated"):
             maps.heat_flow_relax(noisy, steps=3)
+
+
+class TestFlowPlan:
+    @pytest.mark.parametrize("res, steps", [(8, 4), (16, 15), (32, 57), (64, 225)])
+    def test_shipped_rungs_keep_their_plan(self, res, steps):
+        assert maps.flow_plan(Grid(3, res), 0.0137) == (0.0137 / steps, steps)
+
+    def test_derived_step_never_exceeds_the_guard(self):
+        # time = N h^2/4 divided by the guard can round onto N while time / N
+        # lies an ulp above the guard; N steps would then overshoot it.
+        for res in range(8, 201, 2):
+            grid = Grid(2, res)
+            guard = maps._stability_guard(grid)
+            for count in range(1, 201):
+                tau, steps = maps.flow_plan(grid, count * guard)
+                assert tau <= guard, (res, count)
+                assert steps in (count, count + 1)
+
+    def test_given_steps_are_kept_and_judged_by_the_guard(self):
+        u = maps.constant_map(Grid(2, 16), 2)
+        tau, steps = maps.flow_plan(u.grid, 1.0, 3)
+        assert (tau, steps) == (1.0 / 3, 3)
+        with pytest.raises(ValueError, match="stability"):
+            maps.heat_flow_relax(u, tau=tau, steps=steps)

@@ -267,6 +267,25 @@ class TestSolvePair:
         assert report.residual_l2 <= 1e-6 + report.harmonic_budget
         assert report.uniqueness_gap <= 1e-7
 
+    def test_rotation_sup_skips_non_positive_determinants(self, coexact_setup,
+                                                          monkeypatch):
+        # The solve reads its rotation distances through the shared sup rule:
+        # points flagged with a non-positive determinant are counted, and the
+        # sup is taken over the others.
+        omega, pair = coexact_setup
+        measured = gauge.rotation_distance
+
+        def fabricated(pointwise):
+            dist, _, sigma = measured(pointwise)
+            dist = np.arange(dist.size, dtype=float).reshape(dist.shape) / dist.size
+            return dist, dist > 0.9, sigma
+
+        monkeypatch.setattr(gauge, "rotation_distance", fabricated)
+        _, _, report = solver.solve_pair(omega, solver.PicardMap.of(pair))
+        dist = np.arange(omega.grid.res ** omega.grid.n) / omega.grid.res ** omega.grid.n
+        assert report.negdet_points == int((dist > 0.9).sum()) > 0
+        assert report.rotation_distance_sup == dist[dist <= 0.9].max()
+
     def test_scaling_family_bound_stable(self, grid, mixed_setup):
         # The existence bound's constant should not drift across a rescaled
         # family; the fixed point itself stays inside twice that bound.
@@ -361,7 +380,7 @@ class TestSolvePair:
     def test_report_reuses_the_solve_derivatives(self, grid, mixed_setup, monkeypatch):
         # The residual and da_n1 share one dA, and db_n2 and sup_a are the
         # last iterate norm's: one gradient per block and one sup per state
-        # norm and no more.
+        # norm and no more, beside the pair residual's one sup.
         omega, pair = mixed_setup
         d, grad, sup = forms.exterior_derivative, solver._gradient_size, forms.sup_norm
         zero_forms, gradients, sups = [], [], []
@@ -385,7 +404,8 @@ class TestSolvePair:
         A, B, report = solver.solve_pair(omega, solver.PicardMap.of(pair), probe_seed=None)
         assert sum(form is A for form in zero_forms) == 1
         assert len(gradients) == 2 * (1 + 2 * report.iterations)
-        assert len(sups) == 1 + 2 * report.iterations
+        assert sum(form.k == 0 for form in sups) == 1 + 2 * report.iterations
+        assert [form.k for form in sups if form.k] == [1]
         assert report.db_n2 == solver.gradient_norm(B, 2.0)
         assert report.da_n1 == lorentz.lorentz_norm(d(A), 3.0, 1.0)
 

@@ -208,6 +208,20 @@ class TestBoundRatios:
         assert table.negdet_points == grid.res ** grid.n
         assert np.isnan(table.rotation_distance_sup)
 
+    def test_sup_skips_only_the_reflection_points(self, grid):
+        # Scaled identities (1 + s) I, with a reflection diag(-3, 1, 1) on one
+        # slab: the reflections lie farthest from a rotation, but their
+        # determinant is negative, so the sup is taken over the rest.
+        s = 0.2 * np.sin(2 * np.pi * grid.coords()[1]) ** 2
+        coeffs = (1.0 + s)[..., None, None] * np.eye(3)
+        coeffs[: grid.res // 4] = np.diag([-3.0, 1.0, 1.0])
+        table = verify.bound_ratios(MatrixForm(grid, 0, coeffs[None]),
+                                    MatrixForm.zeros(grid, 2, 3),
+                                    MatrixForm.zeros(grid, 1, 3))
+        assert table.negdet_points == grid.res ** grid.n // 4
+        assert table.rotation_distance_sup == pytest.approx(
+            np.sqrt(3.0) * s[grid.res // 4:].max(), rel=1e-12)
+
     def test_matches_solver_diagnostics(self, grid):
         omega = synth.synthetic_connection(
             grid, 3, np.random.default_rng(21), kmax=2, exact_frac=0.3,
