@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import maps, synth
 from .forms import Grid
 
 __all__ = ["RunConfig", "config_hash", "load_config"]
@@ -69,8 +70,6 @@ class RunConfig:
                              f"got {self.map_kind!r}")
         if self.base not in BASES:
             raise ValueError(f"base map must be one of {BASES}, got {self.base!r}")
-        for res in (self.res,) + self.resolutions:
-            Grid(self.n, res)  # raises on a dimension or resolution no grid takes
         if self.m < 2:
             raise ValueError(f"target dimension must be >= 2, got {self.m}")
         for name in ("gauge_tol", "solver_tol", "flow_time"):
@@ -94,12 +93,28 @@ class RunConfig:
         if self.map_kind in _RANDOM_KINDS and self.seed is None:
             raise ValueError(
                 f"map kind {self.map_kind!r} draws random numbers: set a seed")
+        self._check_rungs()
+
+    def _check_rungs(self):
+        """Refuse at load what a stage would refuse at `res` or a study rung,
+        with the rule the stage runs: the grid, and each wave, noise
+        amplitude, support or band, where the stage builds or draws it."""
+        perturbs = self.map_kind in ("perturbed", "heatflow")
         needs_wave = self.map_kind == "geodesic" or (
-            self.map_kind in ("perturbed", "heatflow") and self.base == "geodesic")
-        if needs_wave:
-            if len(self.wave) != self.n or not any(self.wave):
-                raise ValueError(
-                    f"wave must be a nonzero integer vector of length {self.n}")
+            perturbs and self.base == "geodesic")
+        draws_omega = self.map_kind == "synthetic_omega" and self.epsilon != 0.0
+        if perturbs:
+            maps.check_noise(self.delta)
+        if draws_omega:
+            synth.check_support(self.support)
+        for res in (self.res,) + self.resolutions:
+            grid = Grid(self.n, res)  # raises on a dimension or resolution no grid takes
+            if needs_wave:
+                maps.check_wave(grid, self.wave)
+            if perturbs and self.delta != 0.0:
+                synth.check_band(res, self.kmax, self.kmin)
+            if draws_omega:
+                synth.check_band(res, self.omega_kmax)
 
     def as_dict(self) -> dict:
         doc = dataclasses.asdict(self)

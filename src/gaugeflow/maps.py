@@ -68,6 +68,22 @@ def constant_map(grid: Grid, m: int, axis: int = 0) -> MapField:
     return MapField(grid, values)
 
 
+def check_wave(grid: Grid, wave) -> None:
+    """Refuse a wave vector that is zero, of the wrong length, or unresolved."""
+    wave = np.asarray(wave, dtype=int)
+    if wave.shape != (grid.n,) or not wave.any():
+        raise ValueError(
+            f"wave must be a nonzero integer vector of length {grid.n}")
+    if 4.0 * float(np.linalg.norm(wave)) > grid.res:
+        raise ValueError(f"wave {wave.tolist()} unresolved at res={grid.res}")
+
+
+def check_noise(delta: float) -> None:
+    """Refuse a perturbation amplitude that perturbed_map does not take."""
+    if not 0.0 <= delta <= 0.2:
+        raise ValueError("noise amplitude must lie in [0, 0.2]")
+
+
 def geodesic_map(grid: Grid, m: int, wave, axes=(0, 1)) -> MapField:
     """Great-circle map u = cos(2 pi kappa.x) e_i + sin(2 pi kappa.x) e_j.
 
@@ -78,10 +94,7 @@ def geodesic_map(grid: Grid, m: int, wave, axes=(0, 1)) -> MapField:
     i, j = axes
     if m < 2 or not 0 <= i < m or not 0 <= j < m or i == j:
         raise ValueError("need two distinct target axes and m >= 2")
-    if wave.shape != (grid.n,) or not wave.any():
-        raise ValueError("wave vector must be a nonzero integer vector")
-    if 4.0 * float(np.linalg.norm(wave)) > grid.res:
-        raise ValueError(f"wave {wave.tolist()} unresolved at res={grid.res}")
+    check_wave(grid, wave)
     phase = 2 * np.pi * np.tensordot(wave, grid.coords(), axes=1)
     values = np.zeros(grid.shape + (m,))
     values[..., i] = np.cos(phase)
@@ -97,8 +110,7 @@ def perturbed_map(base: MapField, delta: float, seed: int,
     map before renormalization, so delta controls the actual displacement.
     Deterministic in seed; delta = 0 returns the base unchanged.
     """
-    if not 0.0 <= delta <= 0.2:
-        raise ValueError("noise amplitude must lie in [0, 0.2]")
+    check_noise(delta)
     if delta == 0.0:
         return base
     rng = np.random.default_rng(seed)

@@ -31,6 +31,20 @@ def _lex_positive(kappa) -> bool:
     return False
 
 
+def check_band(res: int, kmax: int, kmin: int = 1) -> None:
+    """Refuse an empty band, or one with fewer than 4 points per oscillation."""
+    if kmin < 1 or kmin > kmax:
+        raise ValueError(f"need 1 <= kmin <= kmax, got {kmin}..{kmax}")
+    if 4 * kmax > res:
+        raise ValueError(f"band kmax={kmax} unresolved at res={res}")
+
+
+def check_support(support: str) -> None:
+    """Refuse a support that synthetic_connection does not know."""
+    if support not in ("full", "box"):
+        raise ValueError(f"unknown support {support!r}")
+
+
 def band_limited_field(grid: Grid, rng: np.random.Generator, kmax: int,
                        kmin: int = 1, shape: tuple = ()) -> np.ndarray:
     """Random real field with modes kmin <= max|kappa| <= kmax, any resolution.
@@ -40,10 +54,7 @@ def band_limited_field(grid: Grid, rng: np.random.Generator, kmax: int,
     kept mode gets the same coefficient whatever kmin is; fixed kmin/kmax
     and seed give the same continuum field at every res.
     """
-    if kmin < 1 or kmin > kmax:
-        raise ValueError(f"need 1 <= kmin <= kmax, got {kmin}..{kmax}")
-    if 4 * kmax > grid.res:
-        raise ValueError(f"band kmax={kmax} unresolved at res={grid.res}")
+    check_band(grid.res, kmax, kmin)
     spec = np.zeros(grid.shape + shape, dtype=complex)
     for kappa in itertools.product(range(-kmax, kmax + 1), repeat=grid.n):
         coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -115,6 +126,7 @@ def synthetic_connection(grid: Grid, m: int, rng: np.random.Generator,
     """
     if not 0.0 <= exact_frac <= 1.0:
         raise ValueError("exact_frac must lie in [0, 1]")
+    check_support(support)
     xi0 = random_matrix_form(grid, 2, m, rng, kmax, antisymmetric=True)
     co = forms.codifferential(xi0)
     co = co * (1.0 / forms.l2_norm(co))
@@ -126,8 +138,6 @@ def synthetic_connection(grid: Grid, m: int, rng: np.random.Generator,
     if support == "box":
         chi = smooth_cutoff(grid)
         omega = MatrixForm(grid, 1, omega.coeffs * chi[None, ..., None, None])
-    elif support != "full":
-        raise ValueError(f"unknown support {support!r}")
     if target_norm is not None:
         current = lorentz_norm_of_connection(omega)
         if current == 0.0:

@@ -24,6 +24,7 @@ __all__ = [
     "BoundTable",
     "conservation_current",
     "conservation_residual",
+    "judge",
     "sphere_divergence_residual",
     "bound_ratios",
     "convergence_study",
@@ -31,6 +32,10 @@ __all__ = [
 
 TWO_PATH_TOL = 1e-8
 FLOOR = 1e-9
+# Residuals are judged against the sum of their defect sources (map tension,
+# gauge harmonic part, potential representation error, solver tolerance) up
+# to a fixed constant; exceeding it means a stage is wrong, not inaccurate.
+BUDGET_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -112,15 +117,12 @@ def _coordinate_divergence(A: MatrixForm, B: MatrixForm, u: MapField) -> np.ndar
 
 
 def conservation_residual(A: MatrixForm, B: MatrixForm, u: MapField,
-                          budget_components: tuple = (),
                           interior: float | None = None) -> ResidualReport:
     """Norms of dJ, cross-checked against the coordinate-space divergence.
 
-    budget_components are (name, value) defect pairs the caller accounts for
-    (tension of the map, gauge harmonic part, fixed-point tolerance, ...);
-    their sum is the budget the residual is judged against.  With `interior`
+    The report is a measurement; `judge` adds the budget.  With `interior`
     set, norms restricted to the central subbox [margin, 1-margin]^n are
-    appended for cutoff-supported data.
+    reported as components, for cutoff-supported data.
     """
     grid = u.grid
     current = conservation_current(A, B, u)
@@ -137,7 +139,7 @@ def conservation_residual(A: MatrixForm, B: MatrixForm, u: MapField,
             f"conservation current paths disagree: gap {gap:.3e} "
             f"exceeds {TWO_PATH_TOL:.1e} x {scale:.3e}")
 
-    components = tuple(budget_components)
+    components = ()
     if interior is not None:
         if not 0.0 < interior < 0.5:
             raise ValueError("interior margin must lie in (0, 0.5)")
@@ -153,13 +155,22 @@ def conservation_residual(A: MatrixForm, B: MatrixForm, u: MapField,
         interior_sup = float(np.sqrt(square.max(initial=0.0)))
         components += (("interior_l2", interior_l2), ("interior_sup", interior_sup))
 
-    return ResidualReport(
-        l2=forms.l2_norm(residual),
-        sup=forms.sup_norm(residual),
-        budget=float(sum(value for _, value in budget_components)),
-        components=components,
-        coordinate_gap=gap,
-    )
+    return ResidualReport(forms.l2_norm(residual), forms.sup_norm(residual),
+                          components=components, coordinate_gap=gap)
+
+
+def judge(measured: ResidualReport, budget_components: tuple) -> ResidualReport:
+    """The certificate: `measured` with its budget, the sum of the (name,
+    value) defect pairs, which come before its own components.  Raises when
+    l2 exceeds BUDGET_FACTOR x budget."""
+    budget = float(sum(value for _, value in budget_components))
+    if measured.l2 > BUDGET_FACTOR * budget:
+        raise ValueError(
+            f"conservation residual {measured.l2:.3e} exceeds the defect "
+            f"budget {budget:.3e} (factor {BUDGET_FACTOR})")
+    return dataclasses.replace(
+        measured, budget=budget,
+        components=tuple(budget_components) + measured.components)
 
 
 def sphere_divergence_residual(u: MapField,

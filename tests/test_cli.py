@@ -31,6 +31,12 @@ epsilon = 1e-2
 
 CONTRACTING = ["--set", "omega.epsilon=0.3", "--set", "omega.exact_frac=0.5"]
 
+SHIPPED_SYNTHETIC = Path(__file__).resolve().parents[1] / "configs" / "synthetic_coexact.ini"
+
+# verify at res 16, and a study whose first rung is res 16
+JUDGED_RUNS = [("verify", ["--set", "grid.res=16"]),
+               ("study", ["--set", "study.resolutions=16 32 64"])]
+
 HEATFLOW = """\
 [grid]
 n = 3
@@ -388,6 +394,37 @@ class TestFailures:
         with pytest.raises(SystemExit) as info:
             cli.main(["paint", "--config", str(synthetic_ini)])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("command, extra", JUDGED_RUNS)
+    def test_wrong_pair_fails_its_budget(self, command, extra, tmp_path, monkeypatch,
+                                         capsys):
+        # A sign error in the 2-form transport leaves a residual far above
+        # the defect budget; verify and every study rung refuse it.
+        monkeypatch.setattr(solver, "TWO_FORM_TRANSPORT_COUPLING", -1.0)
+        code = cli.main([command, "--config", str(SHIPPED_SYNTHETIC), *CONTRACTING,
+                         *extra, "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"stage {command} failed" in err
+        assert "exceeds the defect budget" in err
+
+    @pytest.mark.parametrize("command, extra", JUDGED_RUNS)
+    def test_reflected_frame_is_refused(self, command, extra, tmp_path, monkeypatch,
+                                        capsys):
+        distance = gauge.rotation_distance
+
+        def one_flagged(pointwise):
+            dist, negdet, sigma = distance(pointwise)
+            negdet.flat[0] = True
+            return dist, negdet, sigma
+
+        monkeypatch.setattr(gauge, "rotation_distance", one_flagged)
+        code = cli.main([command, "--config", str(SHIPPED_SYNTHETIC), *extra,
+                         "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"stage {command} failed" in err
+        assert "1 points have a non-positive determinant" in err
 
     def test_help_documents_the_columns(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -86,10 +86,25 @@ class TestValidation:
         ({"map_kind": "geodesic", "wave": (1, 0)}, "wave"),
         ({"omega_kmax": 0}, "omega kmax"),
         ({"n": 4, "res": 216}, "address budget"),
+        # what a stage would refuse at res or at a study rung
+        ({"resolutions": (8, 16, 32)}, "band kmax=4 unresolved at res=8"),
+        ({"map_kind": "synthetic_omega", "support": "disc"}, "unknown support"),
+        ({"delta": 0.5}, r"noise amplitude must lie in \[0, 0.2\]"),
+        ({"base": "geodesic", "wave": (3, 0, 0), "res": 8},
+         r"wave \[3, 0, 0\] unresolved at res=8"),
     ])
     def test_bad_values_rejected(self, changes, hint):
         with pytest.raises(ValueError, match=hint):
             dataclasses.replace(RunConfig(), **changes)
+
+    @pytest.mark.parametrize("changes", [
+        {"delta": 0.0, "resolutions": (8, 16, 32)},  # no noise band is drawn
+        {"support": "disc"},  # a map run draws no synthetic connection
+        {"map_kind": "synthetic_omega", "epsilon": 0.0, "omega_kmax": 5},
+        {"map_kind": "geodesic", "delta": 0.5, "kmax": 9},
+    ])
+    def test_rules_apply_only_where_a_stage_draws(self, changes):
+        dataclasses.replace(RunConfig(), **changes)
 
     def test_geodesic_base_needs_wave(self):
         with pytest.raises(ValueError, match="wave"):

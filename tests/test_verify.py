@@ -1,5 +1,7 @@
 """Conservation-law residual certificates and refinement-order fits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,12 +32,11 @@ def pipeline_reports(grid):
         pair = gauge.minimize_gauge(omega, tol=1e-5)
         A, B, report = solver.solve_pair(omega, solver.PicardMap.of(pair), tol=1e-8)
         tension = maps.tension_residual(u)
-        return tension, verify.conservation_residual(
-            A, B, u, budget_components=(
-                ("tension", tension),
-                ("harmonic", report.harmonic_budget),
-                ("representation", pair.diagnostics.representation),
-                ("tolerance", 1e-8)))
+        return tension, verify.judge(verify.conservation_residual(A, B, u), (
+            ("tension", tension),
+            ("harmonic", report.harmonic_budget),
+            ("representation", pair.diagnostics.representation),
+            ("tolerance", 1e-8)))
 
     return run(15), run(30)
 
@@ -89,17 +90,30 @@ class TestConservationResidual:
         dust = forms.l2_norm(forms.exterior_derivative(closed))
         assert dust <= 1e-10 * max(1.0, forms.l2_norm(closed))
 
-    def test_budget_and_interior_components(self, grid):
+    def test_interior_components(self, grid):
+        # The measurement alone: interior norms, and no budget.
         u = maps.geodesic_map(grid, 3, (1, 0, 0))
         report = verify.conservation_residual(
             identity_matrix_form(grid, 3), MatrixForm.zeros(grid, 2, 3), u,
-            budget_components=(("tension", 0.5), ("tolerance", 1e-8)),
             interior=0.25)
-        assert report.budget == pytest.approx(0.5 + 1e-8)
-        names = [name for name, _ in report.components]
-        assert "interior_l2" in names and "interior_sup" in names
+        assert [name for name, _ in report.components] == ["interior_l2",
+                                                           "interior_sup"]
+        assert report.budget == 0.0
         inner = dict(report.components)["interior_l2"]
         assert 0.0 < inner <= report.l2 + 1e-12
+
+    def test_judge_sums_the_budget_and_refuses_above_twice_it(self):
+        parts = (("tension", 0.5), ("tolerance", 1e-8))
+        budget = 0.5 + 1e-8
+        own = (("interior_l2", 0.25),)
+        at_bound = verify.ResidualReport(l2=2.0 * budget, sup=1.0, components=own)
+        judged = verify.judge(at_bound, parts)
+        assert judged.budget == budget
+        assert judged.components == parts + own
+        assert (judged.l2, judged.sup) == (at_bound.l2, at_bound.sup)
+        above = dataclasses.replace(at_bound, l2=np.nextafter(2.0 * budget, np.inf))
+        with pytest.raises(ValueError, match="exceeds the defect budget"):
+            verify.judge(above, parts)
 
     def test_negative_budget_component_rejected(self):
         with pytest.raises(ValueError, match="negative"):
