@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import pipeline
@@ -45,10 +44,9 @@ def main(argv=None) -> int:
                         help="output directory (overrides output.dir)")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.overrides)
         if args.out is not None:
-            cfg = dataclasses.replace(cfg, out_dir=args.out)
-        written = pipeline.run(cfg, args.command)
+            args.overrides.append(f"output.dir={args.out}")
+        written = pipeline.run(load_config(args.config, args.overrides), args.command)
     except (pipeline.PipelineError, ValueError, OSError) as exc:
         print(f"gaugeflow: {exc}", file=sys.stderr)
         return 1

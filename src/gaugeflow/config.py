@@ -12,6 +12,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,24 +73,16 @@ class RunConfig:
             raise ValueError(f"base map must be one of {BASES}, got {self.base!r}")
         if self.m < 2:
             raise ValueError(f"target dimension must be >= 2, got {self.m}")
-        for name in ("gauge_tol", "solver_tol", "flow_time"):
-            if getattr(self, name) <= 0:
+        for name in ("gauge_tol", "solver_tol", "flow_time", "regime_limit"):
+            if not getattr(self, name) > 0:  # NaN fails it too
                 raise ValueError(f"{name} must be positive")
         for name in ("gauge_max_iter", "solver_max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.delta < 0 or self.flow_steps < 0:
-            raise ValueError("delta and flow_steps must be nonnegative")
-        if self.omega_kmax < 1:
-            raise ValueError(f"omega kmax must be >= 1, got {self.omega_kmax}")
-        if not 1 <= self.kmin <= self.kmax:
-            raise ValueError(f"need 1 <= kmin <= kmax, got {self.kmin}..{self.kmax}")
-        if not 0.0 <= self.exact_frac <= 1.0:
-            raise ValueError("exact_frac must lie in [0, 1]")
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.regime_limit <= 0:
-            raise ValueError("regime_limit must be positive")
+        if self.flow_steps < 0:
+            raise ValueError("flow_steps must be nonnegative")
+        if self.epsilon is not None and not 0.0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and nonnegative")
         if self.map_kind in _RANDOM_KINDS and self.seed is None:
             raise ValueError(
                 f"map kind {self.map_kind!r} draws random numbers: set a seed")
@@ -98,7 +91,7 @@ class RunConfig:
     def _check_rungs(self):
         """Refuse at load what a stage would refuse at `res` or a study rung,
         with the rule the stage runs: the grid, and each wave, noise
-        amplitude, support or band, where the stage builds or draws it."""
+        amplitude, connection or band, where the stage builds or draws it."""
         perturbs = self.map_kind in ("perturbed", "heatflow")
         needs_wave = self.map_kind == "geodesic" or (
             perturbs and self.base == "geodesic")
@@ -106,7 +99,7 @@ class RunConfig:
         if perturbs:
             maps.check_noise(self.delta)
         if draws_omega:
-            synth.check_support(self.support)
+            synth.check_connection(self.support, self.exact_frac)
         for res in (self.res,) + self.resolutions:
             grid = Grid(self.n, res)  # raises on a dimension or resolution no grid takes
             if needs_wave:
@@ -132,8 +125,14 @@ def _opt_int(text: str) -> int | None:
     return None if text.strip().lower() == "none" else int(text)
 
 
+def _float(text: str) -> float:
+    if math.isnan(value := float(text)):
+        raise ValueError(f"a configuration number cannot be NaN, got {text!r}")
+    return value
+
+
 def _opt_float(text: str) -> float | None:
-    return None if text.strip().lower() == "none" else float(text)
+    return None if text.strip().lower() == "none" else _float(text)
 
 
 def _int_tuple(text: str) -> tuple:
@@ -148,24 +147,24 @@ _SCHEMA = {
         "m": ("m", int),
         "base": ("base", str),
         "wave": ("wave", _int_tuple),
-        "delta": ("delta", float),
+        "delta": ("delta", _float),
         "seed": ("seed", _opt_int),
         "kmin": ("kmin", int),
         "kmax": ("kmax", int),
-        "flow_time": ("flow_time", float),
+        "flow_time": ("flow_time", _float),
         "flow_steps": ("flow_steps", int),
     },
     "omega": {
         "epsilon": ("epsilon", _opt_float),
-        "exact_frac": ("exact_frac", float),
+        "exact_frac": ("exact_frac", _float),
         "kmax": ("omega_kmax", int),
         "support": ("support", str),
     },
-    "gauge": {"tol": ("gauge_tol", float), "max_iter": ("gauge_max_iter", int)},
+    "gauge": {"tol": ("gauge_tol", _float), "max_iter": ("gauge_max_iter", int)},
     "solver": {
-        "tol": ("solver_tol", float),
+        "tol": ("solver_tol", _float),
         "max_iter": ("solver_max_iter", int),
-        "regime_limit": ("regime_limit", float),
+        "regime_limit": ("regime_limit", _float),
         "probe_seed": ("probe_seed", _opt_int),
     },
     "study": {"resolutions": ("resolutions", _int_tuple)},

@@ -9,7 +9,6 @@ residual that certifies the equation for a given (u, Omega) pair.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,9 +25,6 @@ __all__ = [
     "omega_from_frame",
     "connection_residual",
 ]
-
-_log = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class NormalFrame:
@@ -76,22 +72,14 @@ def _call_frame(callback, values: np.ndarray, what: str) -> np.ndarray:
         raise
 
 
-def _antisymmetrized(grid, raw: np.ndarray) -> MatrixForm:
-    # The defect takes two arrays of raw's size, so only a DEBUG log pays.
-    if _log.isEnabledFor(logging.DEBUG):
-        defect = float(np.abs(raw + np.swapaxes(raw, -1, -2)).max())
-        if defect > 0.0:
-            _log.debug("antisymmetry defect %.3e removed by projection", defect)
-    return MatrixForm(grid, 1, 0.5 * (raw - np.swapaxes(raw, -1, -2)))
-
-
 def omega_sphere(u: MapField) -> MatrixForm:
     """Connection Omega^i_j = u^i du^j - u^j du^i of a unit-sphere map."""
     if not u.unit_sphere:
         raise ValueError("sphere connection needs a unit-sphere map")
     du = map_gradient(u).coeffs  # (n, ..., m)
     outer = u.values[..., :, None] * du[..., None, :]
-    return _antisymmetrized(u.grid, outer - np.swapaxes(outer, -1, -2))
+    # X - X^T is antisymmetric bit for bit, since IEEE a - b is -(b - a).
+    return MatrixForm(u.grid, 1, outer - np.swapaxes(outer, -1, -2))
 
 
 def omega_from_frame(u: MapField, frame: NormalFrame) -> MatrixForm:
@@ -105,7 +93,7 @@ def omega_from_frame(u: MapField, frame: NormalFrame) -> MatrixForm:
     jac = _call_frame(frame.jacobian, u.values, "jacobian")
     du = map_gradient(u).coeffs
     term = np.einsum("f...i,f...lj,a...l->a...ij", nu, jac, du, optimize=True)
-    return _antisymmetrized(u.grid, term - np.swapaxes(term, -1, -2))
+    return MatrixForm(u.grid, 1, term - np.swapaxes(term, -1, -2))
 
 
 def contract_gradient(omega: MatrixForm, u: MapField) -> np.ndarray:

@@ -213,7 +213,7 @@ def minimize_gauge(omega: MatrixForm, tol: float | None = None,
             if trial_energy < energy and trial_energy <= energy + 1e-4 * tau * slope:
                 break
             tau *= 0.5
-            if tau < 1e-30:
+            if not tau >= 1e-30:  # a NaN step size stalls at once
                 raise GaugeConvergenceError(
                     f"gauge descent stalled at energy {energy:.6e} with criticality "
                     f"{residual:.3e} > tol {tol:.3e}; trace attached", trace)

@@ -112,7 +112,7 @@ class _Context:
     def residual_report(self) -> verify.ResidualReport:
         """The judged certificate, which verify and every study rung run."""
         A, B, report = self.solved
-        budget = (("harmonic", report.harmonic_budget),
+        budget = (("harmonic", self.gauge_diagnostics.harmonic),
                   ("representation", self.gauge_diagnostics.representation),
                   ("tolerance", self.cfg.solver_tol))
         if self.map is None:
@@ -194,6 +194,7 @@ def _stage_solve(ctx: _Context, out: Path) -> list:
     diffs = [d.total for d in report.diff_norms]
     body = dataclasses.asdict(report)
     body["diff_totals"] = diffs
+    body["harmonic_budget"] = ctx.gauge_diagnostics.harmonic
     rows = [(i + 1, diffs[i], report.ratios[i - 1] if i else "")
             for i in range(len(diffs))]
     return written + [

@@ -184,11 +184,9 @@ def _check_source_mean(src: MatrixForm, label: str) -> None:
 class PicardMap:
     """All the construction reads of a gauge pair (P, xi).
 
-    The affine map's gauge coefficients P^T, dP and d(star xi), and the
-    harmonic budget: the L2 size of the gauged connection's constant part,
-    which no potential represents and the solve reports.  Neither P nor xi
-    is read again, so a caller that drops its gauge pair once the map is
-    built frees both before the first Picard step.
+    The affine map's gauge coefficients P^T, dP and d(star xi).  Neither P
+    nor xi is read again, so a caller that drops its gauge pair once the map
+    is built frees both before the first Picard step.
 
     P^T is a contiguous copy, since batched products with a transposed view
     as right operand take numpy's slow path.  dP^T is not held: each step's
@@ -199,14 +197,12 @@ class PicardMap:
     pt: np.ndarray
     dp: MatrixForm
     d_star_xi: MatrixForm
-    harmonic: float
 
     @classmethod
     def of(cls, gauge_pair: GaugePair) -> "PicardMap":
         return cls(gauge._transpose(gauge_pair.P.coeffs[0]),
                    forms.exterior_derivative(gauge_pair.P),
-                   forms.exterior_derivative(forms.hodge_star(gauge_pair.xi)),
-                   gauge_pair.diagnostics.harmonic)
+                   forms.exterior_derivative(forms.hodge_star(gauge_pair.xi)))
 
 
 def _scale(arr: np.ndarray, weight: float) -> None:
@@ -318,9 +314,7 @@ class SolveReport:
     rotation_distance_sup: float
     negdet_points: int
     omega_n2: float
-    harmonic_budget: float
     uniqueness_gap: float | None
-    couplings_version: str
 
 
 def _iterate(pmap: PicardMap, state: PairState, tol: float, max_iter: int,
@@ -427,9 +421,7 @@ def solve_pair(omega: MatrixForm, pmap: PicardMap, tol: float = 1e-8,
         rotation_distance_sup=gauge.rotation_distance_sup(dist, negdet),
         negdet_points=int(negdet.sum()),
         omega_n2=size,
-        harmonic_budget=pmap.harmonic,
         uniqueness_gap=uniqueness_gap,
-        couplings_version=COUPLINGS_VERSION,
     )
     return A, B, report
 

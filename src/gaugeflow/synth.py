@@ -39,10 +39,12 @@ def check_band(res: int, kmax: int, kmin: int = 1) -> None:
         raise ValueError(f"band kmax={kmax} unresolved at res={res}")
 
 
-def check_support(support: str) -> None:
-    """Refuse a support that synthetic_connection does not know."""
+def check_connection(support: str, exact_frac: float) -> None:
+    """Refuse a support or exact fraction that synthetic_connection does not take."""
     if support not in ("full", "box"):
         raise ValueError(f"unknown support {support!r}")
+    if not 0.0 <= exact_frac <= 1.0:
+        raise ValueError("exact_frac must lie in [0, 1]")
 
 
 def band_limited_field(grid: Grid, rng: np.random.Generator, kmax: int,
@@ -124,9 +126,7 @@ def synthetic_connection(grid: Grid, m: int, rng: np.random.Generator,
     the output is exactly coexact.  target_norm rescales to the requested
     L^{n,2} norm.
     """
-    if not 0.0 <= exact_frac <= 1.0:
-        raise ValueError("exact_frac must lie in [0, 1]")
-    check_support(support)
+    check_connection(support, exact_frac)
     xi0 = random_matrix_form(grid, 2, m, rng, kmax, antisymmetric=True)
     co = forms.codifferential(xi0)
     co = co * (1.0 / forms.l2_norm(co))

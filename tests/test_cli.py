@@ -75,6 +75,10 @@ def tree_bytes(root: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestCommands:
     def test_verify_writes_the_manifest(self, synthetic_ini, heatflow_ini, tmp_path,
                                         capsys):
@@ -89,6 +93,9 @@ class TestCommands:
             assert tuple(written) == pipeline._chain(cfg, command)
             paths = [path for stage in written.values() for path in stage]
             assert sorted(paths) == sorted(str(path) for path in out.iterdir())
+            # every document is strict JSON: no NaN or Infinity
+            for path in out.glob("*.json"):
+                json.loads(path.read_text(), parse_constant=refuse_constant)
         # The CLI lists them stage by stage, each sidecar after its payload.
         out = tmp_path / "listed"
         assert cli.main(["verify", "--config", str(heatflow_ini), "--out", str(out)]) == 0
@@ -103,6 +110,35 @@ class TestCommands:
             "solve: b_field.f64", "solve: b_field.f64.json", "solve: solve.json",
             "solve: solve.csv", "solve: plot_iteration_vs_kappa.dat",
             "verify: verify.json", "verify: verify.csv"]
+
+    def test_out_validates_the_config_once(self, synthetic_ini, tmp_path, monkeypatch):
+        # --out is one more override, not a second construction of the config.
+        post_init = config.RunConfig.__post_init__
+        checks = []
+
+        def counted(cfg):
+            checks.append(cfg)
+            post_init(cfg)
+
+        monkeypatch.setattr(config.RunConfig, "__post_init__", counted)
+        out = tmp_path / "run"
+        assert cli.main(["omega", "--config", str(synthetic_ini),
+                         "--set", f"output.dir={tmp_path / 'elsewhere'}",
+                         "--out", str(out)]) == 0
+        assert len(checks) == 1
+        assert checks[0].out_dir == str(out)
+        assert (out / "omega.json").exists() and not (tmp_path / "elsewhere").exists()
+
+    def test_budget_terms_are_the_gauges_numbers(self, heatflow_ini, tmp_path):
+        # solve.json, gauge.json and verify.json carry one harmonic budget.
+        out = tmp_path / "run"
+        assert cli.main(["verify", "--config", str(heatflow_ini), "--out", str(out)]) == 0
+        docs = {name: json.loads((out / f"{name}.json").read_text())
+                for name in ("gauge", "solve", "verify")}
+        budget = dict(docs["verify"]["residual"]["components"])
+        for name in ("harmonic", "representation"):
+            assert budget[name].hex() == docs["gauge"][name].hex()
+        assert docs["solve"]["harmonic_budget"].hex() == docs["gauge"]["harmonic"].hex()
 
     def test_reports_are_self_describing(self, synthetic_ini, tmp_path):
         out = tmp_path / "run"

@@ -53,6 +53,11 @@ class TestLoading:
         with pytest.raises(ValueError, match="unknown configuration key"):
             load_config(ini)
 
+    def test_nan_refused_for_every_key(self, ini):
+        # even a key no stage of this run reads
+        with pytest.raises(ValueError, match="cannot be NaN"):
+            load_config(ini, ["map.delta=nan"])
+
     def test_malformed_override(self, ini):
         with pytest.raises(ValueError, match="section.key=value"):
             load_config(ini, ["solver.tol"])
@@ -76,15 +81,15 @@ class TestValidation:
         ({"resolutions": (16, 17)}, "even"),
         ({"gauge_tol": 0.0}, "positive"),
         ({"solver_max_iter": 0}, "at least 1"),
-        ({"delta": -0.1}, "nonnegative"),
+        ({"delta": -0.1}, "noise amplitude"),
         ({"kmin": 3, "kmax": 2}, "kmin <= kmax"),
-        ({"exact_frac": 1.5}, r"\[0, 1\]"),
+        ({"map_kind": "synthetic_omega", "exact_frac": 1.5}, r"\[0, 1\]"),
         ({"epsilon": -1.0}, "nonnegative"),
         ({"regime_limit": 0.0}, "positive"),
         ({"map_kind": "heatflow", "seed": None}, "seed"),
         ({"map_kind": "geodesic", "wave": (0, 0, 0)}, "wave"),
         ({"map_kind": "geodesic", "wave": (1, 0)}, "wave"),
-        ({"omega_kmax": 0}, "omega kmax"),
+        ({"map_kind": "synthetic_omega", "omega_kmax": 0}, "kmin <= kmax"),
         ({"n": 4, "res": 216}, "address budget"),
         # what a stage would refuse at res or at a study rung
         ({"resolutions": (8, 16, 32)}, "band kmax=4 unresolved at res=8"),
@@ -92,6 +97,15 @@ class TestValidation:
         ({"delta": 0.5}, r"noise amplitude must lie in \[0, 0.2\]"),
         ({"base": "geodesic", "wave": (3, 0, 0), "res": 8},
          r"wave \[3, 0, 0\] unresolved at res=8"),
+        # NaN fails every rule
+        ({"regime_limit": float("nan")}, "regime_limit must be positive"),
+        ({"solver_tol": float("nan")}, "solver_tol must be positive"),
+        ({"gauge_tol": float("nan")}, "gauge_tol must be positive"),
+        ({"flow_time": float("nan")}, "flow_time must be positive"),
+        ({"epsilon": float("nan")}, "finite and nonnegative"),
+        ({"epsilon": float("inf")}, "finite and nonnegative"),
+        ({"delta": float("nan")}, "noise amplitude"),
+        ({"map_kind": "synthetic_omega", "exact_frac": float("nan")}, r"\[0, 1\]"),
     ])
     def test_bad_values_rejected(self, changes, hint):
         with pytest.raises(ValueError, match=hint):
@@ -102,9 +116,15 @@ class TestValidation:
         {"support": "disc"},  # a map run draws no synthetic connection
         {"map_kind": "synthetic_omega", "epsilon": 0.0, "omega_kmax": 5},
         {"map_kind": "geodesic", "delta": 0.5, "kmax": 9},
+        {"exact_frac": 1.5},  # a map run draws no synthetic connection
+        {"omega_kmax": 0},
+        {"map_kind": "synthetic_omega", "delta": -0.1},  # nor any map noise
     ])
     def test_rules_apply_only_where_a_stage_draws(self, changes):
         dataclasses.replace(RunConfig(), **changes)
+
+    def test_unbounded_regime_limit_is_valid(self):
+        assert RunConfig(regime_limit=float("inf")).regime_limit == float("inf")
 
     def test_geodesic_base_needs_wave(self):
         with pytest.raises(ValueError, match="wave"):

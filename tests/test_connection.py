@@ -1,7 +1,5 @@
 """Connection assembly from sphere maps and normal frames."""
 
-import logging
-
 import numpy as np
 import pytest
 
@@ -145,20 +143,13 @@ class TestResidual:
             connection.connection_residual(u, wide)
 
 
-class TestAntisymmetrized:
-    def test_defect_is_logged_only_at_debug(self, caplog, rng):
-        # The projection is the same with logging on or off; the defect is
-        # measured, and logged, only when DEBUG is enabled.
-        grid = Grid(2, 8)
-        raw = rng.standard_normal((2,) + grid.shape + (3, 3))
-        want = 0.5 * (raw - np.swapaxes(raw, -1, -2))
-        logger = "gaugeflow.connection"
-        with caplog.at_level(logging.INFO, logger=logger):
-            quiet = connection._antisymmetrized(grid, raw)
-        assert not caplog.records
-        with caplog.at_level(logging.DEBUG, logger=logger):
-            logged = connection._antisymmetrized(grid, raw)
-        assert [r.getMessage().split(" ")[:2] for r in caplog.records] == [
-            ["antisymmetry", "defect"]]
-        for omega in (quiet, logged):
-            assert np.array_equal(omega.coeffs.view(np.uint64), want.view(np.uint64))
+class TestExactAntisymmetry:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_both_constructions(self, n):
+        # Each builds X - X^T, which needs no projection afterwards.
+        base = maps.geodesic_map(Grid(n, 8), 3, (1, 1) + (0,) * (n - 2))
+        u = maps.perturbed_map(base, 0.1, seed=n, kmin=1, kmax=2)
+        for omega in (connection.omega_sphere(u),
+                      connection.omega_from_frame(u, connection.sphere_frame())):
+            assert np.abs(omega.coeffs).max() > 0.0
+            assert omega.antisymmetry_defect() == 0.0

@@ -1,9 +1,15 @@
 """Coulomb gauge minimization and potential extraction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import gaugeflow
 from gaugeflow import forms, gauge, synth
 from gaugeflow.forms import Grid, MatrixForm
 
@@ -246,6 +252,30 @@ class TestMinimize:
         energies = [t[0] for t in trace]
         assert all(b <= a for a, b in zip(energies, energies[1:]))
         assert trace[-1][1] > 1e-5
+
+    def test_nan_connection_stalls_at_once(self):
+        # A NaN in Omega makes the first step size NaN, which must end the
+        # backtracking rather than spin it.  The descent runs in a child
+        # process, so a hang fails at the timeout instead of stalling the suite.
+        script = """
+import numpy as np
+from gaugeflow import gauge, synth
+from gaugeflow.forms import Grid, MatrixForm
+omega = synth.synthetic_connection(Grid(2, 8), 2, np.random.default_rng(1), kmax=2)
+coeffs = omega.coeffs.copy()
+coeffs[0, 3, 5, 0, 1] = np.nan
+try:
+    gauge.minimize_gauge(MatrixForm(omega.grid, 1, coeffs), tol=1e-5)
+except gauge.GaugeConvergenceError as exc:
+    print(exc)
+"""
+        src = str(Path(gaugeflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("gauge descent stalled")
 
     def test_plain_descent_agrees_with_preconditioned(self):
         grid = Grid(2, 16)

@@ -234,14 +234,15 @@ class TestPicardStep:
 class TestSolvePair:
     def test_zero_connection(self, grid):
         omega = MatrixForm.zeros(grid, 1, 3)
-        A, B, report = solver.solve_pair(omega, solver.PicardMap.of(gauge.minimize_gauge(omega)))
+        pair = gauge.minimize_gauge(omega)
+        A, B, report = solver.solve_pair(omega, solver.PicardMap.of(pair))
         assert np.allclose(A.coeffs[0], np.eye(3), atol=1e-14)
         assert forms.l2_norm(B) == 0.0
         assert report.residual_l2 == 0.0
         assert report.iterations == 1
         assert report.kappa_bar == 0.0
         assert report.uniqueness_gap <= 1e-12
-        assert report.couplings_version == solver.COUPLINGS_VERSION
+        assert pair.diagnostics.harmonic == 0.0
 
     def test_coexact_connection(self, grid, coexact_setup):
         omega, pair = coexact_setup
@@ -255,7 +256,7 @@ class TestSolvePair:
         assert report.db_n2 > 1e-3
         assert report.rotation_distance_sup <= 1e-12
         assert report.uniqueness_gap <= 1e-7
-        assert report.harmonic_budget <= 1e-10
+        assert pair.diagnostics.harmonic <= 1e-10
 
     def test_mixed_connection_converges_geometrically(self, grid, mixed_setup):
         omega, pair = mixed_setup
@@ -264,7 +265,7 @@ class TestSolvePair:
         totals = [d.total for d in report.diff_norms]
         assert all(b < a for a, b in zip(totals, totals[1:]))
         assert report.kappa_bar < 0.5
-        assert report.residual_l2 <= 1e-6 + report.harmonic_budget
+        assert report.residual_l2 <= 1e-6 + pair.diagnostics.harmonic
         assert report.uniqueness_gap <= 1e-7
 
     def test_rotation_sup_skips_non_positive_determinants(self, coexact_setup,
@@ -432,20 +433,8 @@ class TestSolvePair:
         assert report.iterations == 5
         assert report.kappa_bar == pytest.approx(1.59e-2, rel=1e-2)
         assert report.residual_l2 == pytest.approx(4.2166e-4, rel=1e-4)
-        assert report.residual_l2 <= report.harmonic_budget
+        assert report.residual_l2 <= pair.diagnostics.harmonic
         assert report.uniqueness_gap <= 1e-10
-
-    def test_reports_the_maps_harmonic_budget(self, grid):
-        # The map carries the gauge's harmonic budget, zero included.
-        pair = identity_pair(grid, 3)
-        diag = gauge.GaugeDiagnostics(0.0, 0.0, 0, 2.5e-3, 0.0)
-        budgeted = gauge.GaugePair(pair.P, pair.xi, diag)
-        omega = MatrixForm.zeros(grid, 1, 3)
-        for gauge_pair, budget in ((budgeted, 2.5e-3), (pair, 0.0)):
-            pmap = solver.PicardMap.of(gauge_pair)
-            assert pmap.harmonic == budget
-            _, _, report = solver.solve_pair(omega, pmap, probe_seed=None)
-            assert report.harmonic_budget == budget
 
 
 class TestSourceMeanCheck:

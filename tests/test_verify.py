@@ -30,11 +30,11 @@ def pipeline_reports(grid):
             steps=steps)
         omega = connection.omega_sphere(u)
         pair = gauge.minimize_gauge(omega, tol=1e-5)
-        A, B, report = solver.solve_pair(omega, solver.PicardMap.of(pair), tol=1e-8)
+        A, B, _ = solver.solve_pair(omega, solver.PicardMap.of(pair), tol=1e-8)
         tension = maps.tension_residual(u)
         return tension, verify.judge(verify.conservation_residual(A, B, u), (
             ("tension", tension),
-            ("harmonic", report.harmonic_budget),
+            ("harmonic", pair.diagnostics.harmonic),
             ("representation", pair.diagnostics.representation),
             ("tolerance", 1e-8)))
 
