@@ -172,11 +172,16 @@ _SCHEMA = {
 }
 
 
-def _lookup(section: str, key: str) -> tuple:
+def _parse(section: str, key: str, raw: str) -> tuple:
+    """(RunConfig field, parsed value) of one key; errors name the key."""
     try:
-        return _SCHEMA[section][key]
+        field, parse = _SCHEMA[section][key]
     except KeyError:
         raise ValueError(f"unknown configuration key {section}.{key}") from None
+    try:
+        return field, parse(raw)
+    except ValueError as exc:
+        raise ValueError(f"{section}.{key}: {exc}") from None
 
 
 def load_config(path, overrides=()) -> RunConfig:
@@ -190,13 +195,13 @@ def load_config(path, overrides=()) -> RunConfig:
     fields = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            field, parse = _lookup(section, key)
-            fields[field] = parse(raw)
+            field, value = _parse(section, key, raw)
+            fields[field] = value
     for item in overrides:
         target, sep, raw = item.partition("=")
         if not sep or "." not in target:
             raise ValueError(f"overrides look like section.key=value, got {item!r}")
         section, _, key = target.partition(".")
-        field, parse = _lookup(section.strip(), key.strip())
-        fields[field] = parse(raw)
+        field, value = _parse(section.strip(), key.strip(), raw)
+        fields[field] = value
     return RunConfig(**fields)

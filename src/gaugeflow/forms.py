@@ -30,6 +30,7 @@ __all__ = [
     "Grid",
     "MatrixForm",
     "VectorForm",
+    "SkewForm",
     "components",
     "partial_derivative",
     "exterior_derivative",
@@ -276,6 +277,84 @@ class VectorForm(_Form):
     _value_ndim = 1
 
 
+@lru_cache(maxsize=None)
+def _skew_basis(m: int) -> np.ndarray:
+    # Row q is E_ij - E_ji, flattened row-major, for the q-th strictly upper
+    # (i, j) in row-major order: channels times this matrix are the full
+    # matrices.
+    basis = np.zeros((m * (m - 1) // 2, m * m))
+    for q, (i, j) in enumerate(itertools.combinations(range(m), 2)):
+        basis[q, i * m + j] = 1.0
+        basis[q, j * m + i] = -1.0
+    basis.setflags(write=False)
+    return basis
+
+
+@dataclass(frozen=True, eq=False)
+class SkewForm:
+    """Degree-k so(m)-valued form, held as its strictly upper entries.
+
+    `upper` has shape (C(n,k), res, ..., res, m(m-1)/2), the entries of each
+    point's matrix above the diagonal in row-major order.  Only `of` builds
+    one, from a MatrixForm of antisymmetry defect exactly 0.0.  Readers
+    expand one component at a time into a reused buffer: the kept entries
+    above the diagonal, their negatives below it and +0.0 on it, so every
+    nonzero entry is bitwise the original and every zero is +0.0.
+    Measurements and the linear calculus run on the full form.
+    """
+
+    grid: Grid
+    k: int
+    m: int
+    upper: np.ndarray
+
+    def __post_init__(self):
+        shape = (len(components(self.grid.n, self.k)),) + self.grid.shape
+        if self.upper.shape != shape + (self.m * (self.m - 1) // 2,):
+            raise ValueError(f"skew channels have shape {self.upper.shape}")
+        self.upper.setflags(write=False)
+
+    @classmethod
+    def of(cls, form, **fields) -> "SkewForm":
+        """The form as so(m) channels; a SkewForm comes back as it is.
+        `fields` are a subclass's own fields."""
+        if isinstance(form, SkewForm):
+            return form
+        if not isinstance(form, MatrixForm):
+            raise ValueError("so(m) channels need matrix values")
+        defect = form.antisymmetry_defect()
+        if defect > 0.0:  # a NaN entry is no defect: it reaches the readers
+            raise ValueError(f"form is not exactly antisymmetric: defect {defect:.3e}")
+        m = form.m
+        rows, cols = np.triu_indices(m, 1)
+        return cls(form.grid, form.k, m, form.coeffs[..., rows, cols], **fields)
+
+    @property
+    def shape(self) -> tuple:
+        """Coefficient shape of the full form."""
+        return self.upper.shape[:-1] + (self.m, self.m)
+
+    def expand_into(self, comp: int, out: np.ndarray) -> np.ndarray:
+        """Component `comp` as full matrices in out, of shape grid + (m, m).
+
+        One product by the so(m) basis: each entry is one channel times
+        +-1 plus exact zeros, so every nonzero entry is exact; adding 0.0
+        then makes every zero +0.0, whatever signs the product gave them.
+        """
+        m = self.m
+        flat = out.reshape(-1, m * m, copy=False)
+        np.matmul(self.upper[comp].reshape(flat.shape[0], -1), _skew_basis(m), out=flat)
+        flat += 0.0
+        return out
+
+    def expanded(self) -> MatrixForm:
+        """The full form."""
+        out = np.empty(self.shape)
+        for comp, target in enumerate(out):
+            self.expand_into(comp, target)
+        return MatrixForm(self.grid, self.k, out)
+
+
 def partial_derivative(form, axis: int):
     """Spectral d/dx_axis applied to every coefficient."""
     out = _spectral_axis_derivative(form.coeffs, 1 + axis, form.grid.res)
@@ -486,29 +565,33 @@ def _wedge_coeffs(a: MatrixForm, b, transpose_right: bool = False) -> np.ndarray
 
     Each output's first term is a product straight into it, later ones go
     through one reused product array.  Matrix times vector runs on einsum,
-    which beats a batched matmul by a column at these shapes.  With
+    which beats a batched matmul by a column at these shapes.  A SkewForm b
+    is expanded one component at a time into a reused array.  With
     transpose_right, b's matrix values enter transposed: each term copies
     one component of b^T into a reused contiguous array, so b^T is never
     held whole and no product takes a transposed view.
     """
     matvec = isinstance(b, VectorForm)
+    skew = isinstance(b, SkewForm)
     plan = _wedge_plan(a.grid.n, a.k, b.k)
-    out = np.empty((len(plan),) + b.coeffs.shape[1:])
+    out = np.empty((len(plan),) + (b.shape if skew else b.coeffs.shape)[1:])
     prod = None
-    flipped = np.empty(b.coeffs.shape[1:]) if transpose_right else None
+    right = np.empty(out.shape[1:]) if skew or transpose_right else None
     for target, (terms, _) in zip(out, plan):
         for j, (ia, ib, sign) in enumerate(terms):
-            left, right = a.coeffs[ia], b.coeffs[ib]
-            if transpose_right:
-                np.copyto(flipped, np.swapaxes(right, -1, -2))
-                right = flipped
+            if skew:
+                b.expand_into(ib, right)
+            elif transpose_right:
+                np.copyto(right, np.swapaxes(b.coeffs[ib], -1, -2))
+            else:
+                right = b.coeffs[ib]
             if j and prod is None:
                 prod = np.empty(out.shape[1:])
             dest = prod if j else target
             if matvec:
-                np.einsum("...ij,...j->...i", left, right, out=dest)
+                np.einsum("...ij,...j->...i", a.coeffs[ia], right, out=dest)
             else:
-                np.matmul(left, right, out=dest)
+                np.matmul(a.coeffs[ia], right, out=dest)
             # a first term is 0 + p or 0 - p, as a sum into zeros gives it,
             # down to the sign of a zero entry
             if j:
@@ -610,10 +693,20 @@ def project_closed(form):
         raise ValueError("projection needs 1 <= k <= n")
     if form.k == form.grid.n:
         return form
-    out = _image(solve_poisson(exterior_derivative(form)).coeffs,
-                 _codiff_plan(form.grid.n, form.k + 1), form.grid.res)
-    np.subtract(form.coeffs, out, out=out)
+    out = form.coeffs.copy()
+    _project_closed_in_place(out, form.grid.n, form.k, form.grid.res)
     return form._like(out)
+
+
+def _project_closed_in_place(coeffs: np.ndarray, n: int, k: int, res: int) -> None:
+    """coeffs -= d* (-lap)^-1 d coeffs, for a writable k-form array, k < n.
+
+    The exact part is subtracted one component at a time, so the array is
+    its own projection; x - y is bitwise x + (-y), so this is
+    project_closed to the bit.
+    """
+    potential = _solve_poisson_in_place(_image(coeffs, _d_plan(n, k), res), n, res)
+    _add_image(coeffs, potential, _codiff_plan(n, k + 1), res, -1.0)
 
 
 def harmonic_part(form):

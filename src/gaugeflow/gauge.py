@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms
-from .forms import Grid, MatrixForm
+from .forms import Grid, MatrixForm, SkewForm
 
 __all__ = [
     "GaugeDiagnostics",
@@ -132,19 +132,31 @@ def rotation_distance_sup(dist: np.ndarray, negdet: np.ndarray) -> float:
     return float(dist[valid].max()) if valid.any() else float("nan")
 
 
-def _gauged_connection(pointwise: np.ndarray, omega: MatrixForm) -> np.ndarray:
-    """Coefficients of P^T (dP + Omega P) for a pointwise rotation array."""
-    dp = forms.exterior_derivative(MatrixForm(omega.grid, 0, pointwise[None])).coeffs
-    covariant = omega.coeffs @ pointwise
-    covariant += dp
-    return _transpose(pointwise) @ covariant
+def _gauged_connection(pointwise: np.ndarray, omega: SkewForm) -> np.ndarray:
+    """Coefficients of P^T (dP + Omega P) for a pointwise rotation array.
+
+    Built one component at a time in dP's array: Omega_c expands into one
+    reused array, Omega_c P + dP_c forms in another, and its product with
+    P^T overwrites dP_c.  Each entry is the one the whole-array products
+    give, so only dP and three components' worth are live.
+    """
+    grid = omega.grid
+    out = forms._image(pointwise[None], forms._d_plan(grid.n, 0), grid.res)
+    pt = _transpose(pointwise)
+    omega_c = np.empty(pointwise.shape)
+    covariant = np.empty(pointwise.shape)
+    for comp, target in enumerate(out):
+        np.matmul(omega.expand_into(comp, omega_c), pointwise, out=covariant)
+        covariant += target
+        np.matmul(pt, covariant, out=target)
+    return out
 
 
 def _energy(gauged: np.ndarray, grid: Grid) -> float:
     return forms._sum_products(gauged, gauged) * grid.cell
 
 
-def gauge_energy(P: MatrixForm, omega: MatrixForm) -> float:
+def gauge_energy(P: MatrixForm, omega: MatrixForm | SkewForm) -> float:
     """Squared L2 norm of the gauged connection."""
     if P.k != 0 or omega.k != 1:
         raise ValueError("need a rotation 0-form and a connection 1-form")
@@ -152,10 +164,11 @@ def gauge_energy(P: MatrixForm, omega: MatrixForm) -> float:
         raise ValueError("rotation and connection are incompatible")
     if _orthogonality_defect(P.coeffs[0]) > ORTHOGONALITY_TOL:
         raise ValueError("rotation field is not orthogonal")
+    omega = SkewForm.of(omega)
     return _energy(_gauged_connection(P.coeffs[0], omega), omega.grid)
 
 
-def minimize_gauge(omega: MatrixForm, tol: float | None = None,
+def minimize_gauge(omega: MatrixForm | SkewForm, tol: float | None = None,
                    max_iter: int = 5000, preconditioned: bool = True) -> GaugePair:
     """The Coulomb gauge pair of omega: descend to the rotation, then extract xi.
 
@@ -167,14 +180,18 @@ def minimize_gauge(omega: MatrixForm, tol: float | None = None,
     below tol.  The default tol is relative to the L2 size of omega, so
     omega = 0 converges immediately.  The final gauged connection, energy
     and criticality complete the pair as extract_xi would, so the final
-    rotation is gauged and checked once.
+    rotation is gauged and checked once.  omega, exactly antisymmetric, is
+    read as so(m) channels; its sizes are taken on the full form.
     """
     if omega.k != 1:
         raise ValueError("connection must be a 1-form")
     grid = omega.grid
+    omega = SkewForm.of(omega)
+    full = omega.expanded()
     if tol is None:
-        tol = 1e-6 * forms.l2_norm(omega)
-    tau = 0.1 / (1.0 + forms.sup_norm(omega))
+        tol = 1e-6 * forms.l2_norm(full)
+    tau = 0.1 / (1.0 + forms.sup_norm(full))
+    del full
     pointwise = np.broadcast_to(np.eye(omega.m), grid.shape + (omega.m, omega.m)).copy()
     trace = []
     # The accepted trial's gauged connection and energy carry over, so each
@@ -223,7 +240,8 @@ def minimize_gauge(omega: MatrixForm, tol: float | None = None,
     raise AssertionError("unreachable")
 
 
-def extract_xi(P: MatrixForm, omega: MatrixForm, iterations: int = 0) -> GaugePair:
+def extract_xi(P: MatrixForm, omega: MatrixForm | SkewForm,
+               iterations: int = 0) -> GaugePair:
     """Complete a gauge pair: represent the gauged connection as d*(xi).
 
     xi = d (-lap)^{-1} Omega_P, so d*(xi) recovers exactly the co-exact part
@@ -231,12 +249,13 @@ def extract_xi(P: MatrixForm, omega: MatrixForm, iterations: int = 0) -> GaugePa
     total representation residual are reported in the diagnostics.
     """
     grid = omega.grid
+    omega = SkewForm.of(omega)
     gauged = _gauged_connection(P.coeffs[0], omega)
     criticality = forms.l2_norm(forms.codifferential(MatrixForm(grid, 1, gauged)))
     return _complete(P, omega, gauged, _energy(gauged, grid), criticality, iterations)
 
 
-def _complete(P: MatrixForm, omega: MatrixForm, gauged: np.ndarray, energy: float,
+def _complete(P: MatrixForm, omega: SkewForm, gauged: np.ndarray, energy: float,
               criticality: float, iterations: int) -> GaugePair:
     """extract_xi from the gauged connection of P and its energy and criticality."""
     grid = omega.grid

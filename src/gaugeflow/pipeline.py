@@ -61,6 +61,8 @@ def _build_omega(cfg: RunConfig, res: int, u) -> MatrixForm:
 class _Context:
     """Lazily computed stage products for one configuration and resolution.
 
+    Omega is kept as so(m) channels with its L^{n,2} size (synth.Connection);
+    the full form it is built as goes as soon as the channels are taken.
     The gauge pair is the one product that is not kept: the solve takes the
     context's only reference to it, so P and xi are freed before the first
     Picard step, and only the gauge diagnostics stay.
@@ -76,8 +78,15 @@ class _Context:
         return _build_map(self.cfg, self.res)
 
     @functools.cached_property
-    def omega(self) -> MatrixForm:
+    def built_omega(self) -> MatrixForm:
+        """Omega as built, which the omega stage writes and measures."""
         return _build_omega(self.cfg, self.res, self.map)
+
+    @functools.cached_property
+    def omega(self) -> synth.Connection:
+        omega = synth.Connection.of(self.built_omega)
+        del self.built_omega
+        return omega
 
     @functools.cached_property
     def tension(self) -> float:
@@ -171,11 +180,11 @@ def _stage_generate(ctx: _Context, out: Path) -> list:
 
 
 def _stage_omega(ctx: _Context, out: Path) -> list:
-    omega = ctx.omega
-    written = [*fieldio.write_field(out / "omega.f64", omega)]
-    body = {"l2": forms.l2_norm(omega), "sup": forms.sup_norm(omega),
-            "lorentz_n2": synth.lorentz_norm_of_connection(omega),
-            "antisymmetry_defect": omega.antisymmetry_defect()}
+    built = ctx.built_omega  # taken before the channels, which drop it
+    written = [*fieldio.write_field(out / "omega.f64", built)]
+    body = {"l2": forms.l2_norm(built), "sup": forms.sup_norm(built),
+            "lorentz_n2": ctx.omega.n2,
+            "antisymmetry_defect": built.antisymmetry_defect()}
     return written + [_write_json(out / "omega.json", _doc(ctx.cfg, "omega", body))]
 
 
@@ -212,7 +221,7 @@ def _verify_rows(ctx: _Context, residual, bounds) -> list:
             ("coordinate_gap", residual.coordinate_gap)]
     rows += [(f"budget_{name}", value) for name, value in residual.components]
     if ctx.map is not None:
-        sphere = verify.sphere_divergence_residual(ctx.map, ctx.omega)
+        sphere = verify.sphere_divergence_residual(ctx.map, ctx.omega.expanded())
         rows += [("sphere_divergence_l2", sphere.l2),
                  ("sphere_divergence_sup", sphere.sup)]
     rows += [("rotation_distance_sup", bounds.rotation_distance_sup),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms, gauge, lorentz, synth
-from .forms import Grid, MatrixForm
+from .forms import Grid, MatrixForm, SkewForm
 from .gauge import GaugePair
 
 __all__ = [
@@ -189,20 +189,23 @@ class PicardMap:
     is built frees both before the first Picard step.
 
     P^T is a contiguous copy, since batched products with a transposed view
-    as right operand take numpy's slow path.  dP^T is not held: each step's
-    wedge copies it out of dP one component at a time, while a held copy
-    would stay alive through the whole solve and raise its peak memory.
+    as right operand take numpy's slow path.  d(star xi) is exactly
+    antisymmetric, as xi is, so it is held as so(m) channels, a third of
+    its full size at m = 3; each step's two readers expand it one component
+    at a time.  dP^T is not held: each step's wedge copies it out of dP one
+    component at a time, while a held copy would stay alive through the
+    whole solve and raise its peak memory.
     """
 
     pt: np.ndarray
     dp: MatrixForm
-    d_star_xi: MatrixForm
+    d_star_xi: SkewForm
 
     @classmethod
     def of(cls, gauge_pair: GaugePair) -> "PicardMap":
         return cls(gauge._transpose(gauge_pair.P.coeffs[0]),
                    forms.exterior_derivative(gauge_pair.P),
-                   forms.exterior_derivative(forms.hodge_star(gauge_pair.xi)))
+                   SkewForm.of(forms.exterior_derivative(forms.hodge_star(gauge_pair.xi))))
 
 
 def _scale(arr: np.ndarray, weight: float) -> None:
@@ -212,12 +215,16 @@ def _scale(arr: np.ndarray, weight: float) -> None:
 
 
 def _transported_current(a_tilde: np.ndarray, pmap: PicardMap) -> np.ndarray:
-    """(id + a) d(star xi) P^T, built one component at a time into one array."""
-    d_star_xi = pmap.d_star_xi.coeffs
+    """(id + a) d(star xi) P^T, built one component at a time into one array.
+
+    Each component of d(star xi) expands into its own output slot, which
+    the second product then overwrites.
+    """
+    d_star_xi = pmap.d_star_xi
     out = np.empty(d_star_xi.shape)
-    left = np.empty(d_star_xi.shape[1:])
-    for comp, target in zip(d_star_xi, out):
-        np.matmul(a_tilde, comp, out=left)
+    left = np.empty(out.shape[1:])
+    for index, target in enumerate(out):
+        np.matmul(a_tilde, d_star_xi.expand_into(index, target), out=left)
         np.matmul(left, pmap.pt, out=target)
     return out
 
@@ -234,7 +241,9 @@ def picard_step(state: PairState, pmap: PicardMap) -> PairState:
     full-size temporary goes as soon as it is consumed, so the step's
     working set stays a few 2-forms.  d(star b) and the starred
     codifferential of the transported current run as derivative plans,
-    with no copy of a starred form and no full-size codifferential.
+    with no copy of a starred form and no full-size codifferential.  The
+    solved 2-form is projected onto closed forms in its own array, so the
+    iterate before the projection is never held beside it.
     """
     grid = state.a.grid
     da = forms.exterior_derivative(state.a)
@@ -246,7 +255,7 @@ def picard_step(state: PairState, pmap: PicardMap) -> PairState:
     _scale(scalar, SCALAR_GRADIENT_COUPLING)
     forms._add_scaled(scalar, forms._wedge_coeffs(d_star_b, pmap.dp), second_sign(grid.n))
     del d_star_b
-    a_new = _solve_source(grid, 0, scalar, "0-form")
+    a_new = MatrixForm(grid, 0, _solve_source(grid, 0, scalar, "0-form"))
     del scalar
 
     two = forms._wedge_coeffs(da, pmap.dp, transpose_right=True)
@@ -260,35 +269,40 @@ def picard_step(state: PairState, pmap: PicardMap) -> PairState:
     del current
     b_new = _solve_source(grid, 2, two, "2-form")
     del two
-    return PairState(a_new, forms.project_closed(b_new))
+    if grid.n > 2:  # a top-degree form is closed by degree
+        forms._project_closed_in_place(b_new, grid.n, 2, grid.res)
+    return PairState(a_new, MatrixForm(grid, 2, b_new))
 
 
-def _solve_source(grid: Grid, k: int, coeffs: np.ndarray, label: str) -> MatrixForm:
+def _solve_source(grid: Grid, k: int, coeffs: np.ndarray, label: str) -> np.ndarray:
     """Check a Poisson source's mean, then solve for it in its own array."""
     # The check reads a frozen view; the array itself stays writable.
     _check_source_mean(MatrixForm(grid, k, coeffs.view()), label)
-    return MatrixForm(grid, k, forms._solve_poisson_in_place(coeffs, grid.n, grid.res))
+    return forms._solve_poisson_in_place(coeffs, grid.n, grid.res)
 
 
-def pair_residual(A: MatrixForm, B: MatrixForm, omega: MatrixForm):
+def pair_residual(A: MatrixForm, B: MatrixForm, omega: MatrixForm | SkewForm):
     """L2 and sup norms of dA - A Omega + d*B."""
     if A.k != 0 or B.k != 2 or omega.k != 1:
         raise ValueError("need a 0-form, a 2-form and a 1-form connection")
-    return _residual_norms(forms.exterior_derivative(A), A, B, omega)
+    return _residual_norms(forms.exterior_derivative(A), A, B, SkewForm.of(omega))
 
 
-def _residual_norms(dA: MatrixForm, A: MatrixForm, B: MatrixForm, omega: MatrixForm):
+def _residual_norms(dA: MatrixForm, A: MatrixForm, B: MatrixForm, omega: SkewForm):
     """pair_residual with dA already taken.
 
     r = dA - A Omega + d*B is built in one array in the order of that
-    expression: dA_c - A Omega_c for each component c, then d*B added one
-    component at a time, so neither A Omega nor d*B is held whole.
+    expression: dA_c - A Omega_c for each component c, with Omega_c expanded
+    into one reused array, then d*B added one component at a time, so
+    neither A Omega nor d*B is held whole.
     """
     grid = A.grid
     r = np.empty(dA.coeffs.shape)
-    for da_c, omega_c, r_c in zip(dA.coeffs, omega.coeffs, r):
-        np.matmul(A.coeffs[0], omega_c, out=r_c)
+    omega_c = np.empty(r.shape[1:])
+    for c, (da_c, r_c) in enumerate(zip(dA.coeffs, r)):
+        np.matmul(A.coeffs[0], omega.expand_into(c, omega_c), out=r_c)
         np.subtract(da_c, r_c, out=r_c)
+    del omega_c  # not held beside d*B's work arrays
     forms._add_image(r, B.coeffs, forms._codiff_plan(grid.n, B.k), grid.res, 1.0)
     r = MatrixForm(grid, 1, r)
     return forms.l2_norm(r), forms.sup_norm(r)
@@ -353,13 +367,14 @@ def _iterate(pmap: PicardMap, state: PairState, tol: float, max_iter: int,
         [d.total for d in diffs])
 
 
-def solve_pair(omega: MatrixForm, pmap: PicardMap, tol: float = 1e-8,
+def solve_pair(omega: MatrixForm | synth.Connection, pmap: PicardMap, tol: float = 1e-8,
                max_iter: int = 200, regime_limit: float = 1.0,
                probe_seed: int | None = 7):
     """Iterate from (0, 0) to the conservation pair (A, B) with a full report.
 
     `pmap` is the map of omega's gauge pair, PicardMap.of(pair); the solve
-    reads nothing else of the pair, which the caller may drop first.
+    reads nothing else of the pair, which the caller may drop first.  omega
+    is read as a synth.Connection, whose L^{n,2} size it carries.
 
     Raises "outside contraction regime" either up front, when the Lorentz
     L^{n,2} size of omega reaches regime_limit up to a relative margin
@@ -368,8 +383,8 @@ def solve_pair(omega: MatrixForm, pmap: PicardMap, tol: float = 1e-8,
     the same fixed point within 10 tol (the uniqueness of the pair is part
     of what the construction claims).
     """
-    grid, m = omega.grid, omega.m
-    size = synth.lorentz_norm_of_connection(omega)
+    omega = synth.Connection.of(omega)
+    grid, m, size = omega.grid, omega.m, omega.n2
     if size >= regime_limit * (1.0 - REGIME_RTOL):
         raise SolverError(
             f"outside contraction regime: ||omega|| = {size:.3e} >= {regime_limit:.3e}", [])

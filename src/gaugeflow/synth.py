@@ -9,6 +9,7 @@ grid points per oscillation (4 * kmax <= res).
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from . import forms, lorentz
 from .forms import Grid, MatrixForm, VectorForm
 
 __all__ = [
+    "Connection",
     "band_limited_field",
     "random_matrix_form",
     "random_vector_form",
@@ -148,5 +150,26 @@ def synthetic_connection(grid: Grid, m: int, rng: np.random.Generator,
 
 def lorentz_norm_of_connection(omega: MatrixForm) -> float:
     """The L^{n,2} size of a connection, which controls the contraction
-    regime: the solver's guard, the bound table and omega.json read it."""
+    regime: a Connection carries it, and the bound table takes it again."""
     return lorentz.lorentz_norm(omega, float(omega.grid.n), 2.0)
+
+
+@dataclass(frozen=True, eq=False)
+class Connection(forms.SkewForm):
+    """A connection 1-form as so(m) channels, with its L^{n,2} size `n2`.
+
+    The size is taken once, on the full form `of` converts; omega.json, the
+    solver's regime guard and its report all read this one number.
+    """
+
+    n2: float
+
+    @classmethod
+    def of(cls, omega) -> "Connection":
+        """omega, an exactly antisymmetric MatrixForm, as a Connection; a
+        Connection comes back as it is."""
+        if isinstance(omega, cls):
+            return omega
+        if not isinstance(omega, MatrixForm):
+            raise ValueError("a connection is built from a MatrixForm")
+        return super().of(omega, n2=lorentz_norm_of_connection(omega))

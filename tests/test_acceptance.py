@@ -147,11 +147,12 @@ def test_coulomb_gauge():
     rot = gauge.so_exp(np.array([[0.0, 0.4, -0.1],
                                  [-0.4, 0.0, 0.3],
                                  [0.1, -0.3, 0.0]]))
-    conjugated = MatrixForm(grid, 1, np.einsum(
-        "ji,a...jk,kl->a...il", rot, omega.coeffs, rot))
-    gauged = gauge._gauged_connection(pair.P.coeffs[0], omega)
+    # the conjugate's two triangles round apart; a connection is exactly skew
+    raw = np.einsum("ji,a...jk,kl->a...il", rot, omega.coeffs, rot)
+    conjugated = MatrixForm(grid, 1, 0.5 * (raw - np.swapaxes(raw, -1, -2)))
+    gauged = gauge._gauged_connection(pair.P.coeffs[0], forms.SkewForm.of(omega))
     gauged_conj = gauge._gauged_connection(
-        gauge.minimize_gauge(conjugated).P.coeffs[0], conjugated)
+        gauge.minimize_gauge(conjugated).P.coeffs[0], forms.SkewForm.of(conjugated))
     expected = np.einsum("ji,a...jk,kl->a...il", rot, gauged, rot)
     gap = float(np.sqrt(((gauged_conj - expected) ** 2).sum() * grid.cell))
     assert gap <= 1e-6

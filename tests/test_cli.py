@@ -9,6 +9,7 @@ import threading
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gaugeflow
@@ -285,6 +286,19 @@ class TestCommands:
         assert cli.main(["verify", "--config", str(synthetic_ini),
                          "--out", str(tmp_path / "run")]) == 0
         assert len(calls) == 1
+
+    def test_context_holds_the_connection_as_channels(self, synthetic_ini, tmp_path):
+        # The omega stage writes and measures the form as built; from then
+        # on the context holds only its channels and its size.
+        cfg = dataclasses.replace(config.load_config(synthetic_ini), out_dir=str(tmp_path))
+        ctx = pipeline._Context(cfg)
+        pipeline._stage_omega(ctx, tmp_path)
+        assert isinstance(ctx.omega, synth.Connection)
+        assert "built_omega" not in vars(ctx)
+        written = fieldio.read_field(tmp_path / "omega.f64")
+        assert np.array_equal(ctx.omega.expanded().coeffs, written.coeffs)
+        doc = json.loads((tmp_path / "omega.json").read_text())
+        assert doc["lorentz_n2"] == ctx.omega.n2
 
     def test_gauge_fields_are_released_before_the_picard_loop(
             self, synthetic_ini, tmp_path, monkeypatch):

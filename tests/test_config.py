@@ -58,6 +58,17 @@ class TestLoading:
         with pytest.raises(ValueError, match="cannot be NaN"):
             load_config(ini, ["map.delta=nan"])
 
+    def test_file_parse_error_names_the_key(self, ini):
+        ini.write_text(MINIMAL.replace("res = 16", "res = abc"))
+        with pytest.raises(ValueError, match=r"^grid\.res: invalid literal"):
+            load_config(ini)
+
+    def test_override_parse_error_names_the_key(self, ini):
+        with pytest.raises(ValueError, match=r"^grid\.res: invalid literal"):
+            load_config(ini, ["solver.tol=1e-6", "grid.res=abc"])
+        with pytest.raises(ValueError, match=r"^solver\.regime_limit: .*cannot be NaN"):
+            load_config(ini, ["solver.regime_limit=nan"])
+
     def test_malformed_override(self, ini):
         with pytest.raises(ValueError, match="section.key=value"):
             load_config(ini, ["solver.tol"])

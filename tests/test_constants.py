@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import _symbolic as sym
-from gaugeflow import forms, synth
+from gaugeflow import forms, solver, synth
 from gaugeflow.forms import Grid, MatrixForm
 
 
@@ -131,8 +131,12 @@ class TestSymbolicCouplings:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_coordinate_current_agreement(self, n, seed):
         # component gamma of the current equals, up to the insertion sign
-        # (-1)^gamma, the flux A d_gamma(u) - sum_beta Btil[gamma, beta] d_beta(u);
-        # the minus sign on the two-form block is the coordinate-path coupling
+        # (-1)^gamma, the flux A d_gamma(u) + sign * sum_beta Btil[gamma, beta] d_beta(u);
+        # the current's weight and the coordinate flux sign are read from
+        # the solver, so flipping either one alone breaks the agreement
+        weight = solver.current_weight(n)
+        flux_sign = solver.COORDINATE_FLUX_SIGN
+        assert weight in (1.0, -1.0) and flux_sign in (1.0, -1.0)
         rng = random.Random(seed)
         xs = sym.coords(n)
         a = sym.rand_form(n, 0, rng, xs)
@@ -140,7 +144,7 @@ class TestSymbolicCouplings:
         u = sym.rand_form(n, 0, rng, xs, rows=2, cols=1)
         du = sym.d(u, xs)
         current = (sym.star(sym.lmul(a.mats[0], du))
-                   + (-1) ** (n - 1) * sym.wedge(sym.star(b), du))
+                   + int(weight) * sym.wedge(sym.star(b), du))
 
         two_comps = list(forms.components(n, 2))
         out_comps = list(forms.components(n, n - 1))
@@ -156,7 +160,7 @@ class TestSymbolicCouplings:
             flux = a.mats[0] * du.mats[gamma]
             for beta in range(n):
                 if beta != gamma:
-                    flux = flux - btil(gamma, beta) * du.mats[beta]
+                    flux = flux + int(flux_sign) * btil(gamma, beta) * du.mats[beta]
             missing = tuple(ax for ax in range(n) if ax != gamma)
             comp = current.mats[out_comps.index(missing)]
             assert sym.mat_is_zero((-1) ** gamma * comp - flux)

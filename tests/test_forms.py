@@ -14,6 +14,7 @@ from gaugeflow import connection, forms, gauge, lorentz, maps, solver, synth, ve
 from gaugeflow.forms import (
     Grid,
     MatrixForm,
+    SkewForm,
     VectorForm,
     codifferential,
     components,
@@ -344,6 +345,84 @@ class TestProjectClosed:
         for n in (2, 3):
             top = synth.random_matrix_form(Grid(n, 8), n, 2, rng, kmax=2)
             assert project_closed(top) is top
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_in_place_matches_the_composition(self, n):
+        # b -= d* (-lap)^-1 d b, one component at a time in b's own array,
+        # against b - d*(solve(d b)) with the image held whole: x - y is
+        # bitwise x + (-y), so no bit moves, n = 2 included
+        grid = Grid(n, 8)
+        rng = np.random.default_rng(n)
+        for k in range(1, n):
+            form = synth.random_matrix_form(grid, k, 2, rng, kmax=2)
+            want = form.coeffs - codifferential(solve_poisson(exterior_derivative(form))).coeffs
+            got = form.coeffs.copy()
+            forms._project_closed_in_place(got, n, k, grid.res)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(project_closed(form).coeffs.view(np.uint64),
+                                  want.view(np.uint64))
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+class TestSkewForm:
+    """so(m) channels: the strictly upper entries of exactly antisymmetric values."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_expansion_is_the_original(self, n, m):
+        grid = Grid(n, 8)
+        rng = np.random.default_rng(10 * n + m)
+        for k in range(n + 1):
+            form = synth.random_matrix_form(grid, k, m, rng, kmax=2, antisymmetric=True)
+            skew = SkewForm.of(form)
+            assert skew.upper.shape == form.coeffs.shape[:-2] + (m * (m - 1) // 2,)
+            assert skew.shape == form.coeffs.shape
+            assert np.array_equal(_bits(skew.expanded().coeffs), _bits(form.coeffs))
+            buffer = np.full(grid.shape + (m, m), np.nan)
+            for comp in range(len(components(n, k))):
+                skew.expand_into(comp, buffer)
+                assert np.array_equal(_bits(buffer), _bits(form.coeffs[comp]))
+
+    def test_zeros_round_trip(self):
+        zero = MatrixForm.zeros(Grid(3, 8), 1, 3)
+        assert np.array_equal(_bits(SkewForm.of(zero).expanded().coeffs), _bits(zero.coeffs))
+
+    def test_upper_entries_in_row_major_order(self):
+        values = np.array([[0.0, 1.0, 2.0, 3.0], [-1.0, 0.0, 4.0, 5.0],
+                           [-2.0, -4.0, 0.0, 6.0], [-3.0, -5.0, -6.0, 0.0]])
+        grid = Grid(2, 8)
+        form = MatrixForm(grid, 0, np.broadcast_to(values, (1,) + grid.shape + (4, 4)).copy())
+        assert np.array_equal(SkewForm.of(form).upper[0, 0, 0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+
+    def test_refuses_a_nonzero_defect(self, rng):
+        form = synth.random_matrix_form(Grid(3, 8), 1, 3, rng, kmax=2, antisymmetric=True)
+        coeffs = form.coeffs.copy()
+        coeffs[1, 2, 3, 4, 2, 0] = np.nextafter(coeffs[1, 2, 3, 4, 2, 0], np.inf)
+        with pytest.raises(ValueError, match="not exactly antisymmetric"):
+            SkewForm.of(MatrixForm(form.grid, 1, coeffs))
+        with pytest.raises(ValueError, match="not exactly antisymmetric"):
+            SkewForm.of(MatrixForm.identity(form.grid, 3))
+        with pytest.raises(ValueError, match="matrix values"):
+            SkewForm.of(VectorForm.zeros(form.grid, 1, 3))
+
+    def test_a_skew_form_is_kept(self, rng):
+        skew = SkewForm.of(synth.random_matrix_form(Grid(2, 8), 1, 3, rng, kmax=2,
+                                                    antisymmetric=True))
+        assert SkewForm.of(skew) is skew
+        assert not skew.upper.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_wedge_reads_the_expansion(self, n):
+        # the scalar wedge of a step, da ^ d(star xi), with a skew right factor
+        grid = Grid(n, 8)
+        rng = np.random.default_rng(n)
+        a = synth.random_matrix_form(grid, 1, 3, rng, kmax=2)
+        b = synth.random_matrix_form(grid, n - 1, 3, rng, kmax=2, antisymmetric=True)
+        want = forms._wedge_coeffs(a, b)
+        assert np.array_equal(_bits(forms._wedge_coeffs(a, SkewForm.of(b))), _bits(want))
 
 
 class TestStructuralLaws:
@@ -750,6 +829,19 @@ class TestKernelBoundary:
     def test_no_module_but_forms_names_the_kernel(self, module):
         source = inspect.getsource(importlib.import_module(f"gaugeflow.{module}"))
         assert not re.findall(KERNEL_INTERNALS, source)
+
+
+# The so(m) channels' layout has one owner: forms builds and expands them.
+SKEW_CHANNELS = r"\.upper\b|\b_skew_basis\b|triu_indices"
+
+
+class TestSkewChannelBoundary:
+    @pytest.mark.parametrize("module", ["cli", "config", "connection", "fieldio", "gauge",
+                                        "lorentz", "maps", "pipeline", "solver", "synth",
+                                        "verify"])
+    def test_no_module_but_forms_indexes_skew_channels(self, module):
+        source = inspect.getsource(importlib.import_module(f"gaugeflow.{module}"))
+        assert not re.findall(SKEW_CHANNELS, source)
 
 
 class TestReductions:

@@ -126,6 +126,48 @@ class TestGaugeEnergy:
             gauge.gauge_energy(bad, omega)
 
 
+def broadcast_gauged_connection(pointwise, omega: MatrixForm) -> np.ndarray:
+    """P^T (dP + Omega P) as whole-array products, with the full connection."""
+    dp = forms.exterior_derivative(MatrixForm(omega.grid, 0, pointwise[None])).coeffs
+    covariant = omega.coeffs @ pointwise
+    covariant += dp
+    return np.ascontiguousarray(np.swapaxes(pointwise, -1, -2)) @ covariant
+
+
+def trial_rotation(grid, m, seed):
+    """A smooth rotation field away from the identity, as a descent trial is."""
+    s = synth.random_matrix_form(grid, 0, m, np.random.default_rng(seed), kmax=2,
+                                 antisymmetric=True)
+    return gauge.so_exp(0.3 * s.coeffs[0])
+
+
+class TestGaugedConnection:
+    """Omega_P is built one component at a time from so(m) channels."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_the_broadcast_formula(self, n, m):
+        grid = Grid(n, 8)
+        omega = synth.synthetic_connection(grid, m, np.random.default_rng(n + m), kmax=2,
+                                           exact_frac=0.5, target_norm=0.3)
+        pointwise = trial_rotation(grid, m, n * m)
+        got = gauge._gauged_connection(pointwise, forms.SkewForm.of(omega))
+        want = broadcast_gauged_connection(pointwise, omega)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_working_set(self, transient_peak):
+        # One trial holds dP's array, which becomes the result, and three
+        # components' worth (P^T, Omega_c, the covariant term) beside it:
+        # about two 1-forms at n = 3 (3.33 with dP, Omega P and the result
+        # held whole).
+        grid = Grid(3, 16)
+        omega = synth.synthetic_connection(grid, 3, np.random.default_rng(3), kmax=2,
+                                           exact_frac=0.5, target_norm=0.3)
+        pointwise = trial_rotation(grid, 3, 9)
+        peak = transient_peak(gauge._gauged_connection, pointwise, forms.SkewForm.of(omega))
+        assert peak <= 2.25 * omega.coeffs.nbytes
+
+
 class TestMinimize:
     def test_zero_connection_never_moves(self):
         grid = Grid(2, 8)
@@ -159,13 +201,14 @@ class TestMinimize:
                                            exact_frac=0.5, target_norm=0.05)
         pair = gauge.minimize_gauge(omega)
         assert pair.diagnostics.iterations > 0
-        gauged = gauge._gauged_connection(pair.P.coeffs[0], omega)
+        gauged = gauge._gauged_connection(pair.P.coeffs[0], forms.SkewForm.of(omega))
 
         r = gauge.so_exp(random_skew(np.random.default_rng(8), (), 3))
-        conjugated = MatrixForm(grid, 1, np.einsum(
-            "ji,a...jk,kl->a...il", r, omega.coeffs, r))
+        # the conjugate's two triangles round apart; a connection is exactly skew
+        raw = np.einsum("ji,a...jk,kl->a...il", r, omega.coeffs, r)
+        conjugated = MatrixForm(grid, 1, 0.5 * (raw - np.swapaxes(raw, -1, -2)))
         pair_r = gauge.minimize_gauge(conjugated)
-        gauged_r = gauge._gauged_connection(pair_r.P.coeffs[0], conjugated)
+        gauged_r = gauge._gauged_connection(pair_r.P.coeffs[0], forms.SkewForm.of(conjugated))
         expected = np.einsum("ji,a...jk,kl->a...il", r, gauged, r)
         diff = np.sqrt(((gauged_r - expected) ** 2).sum() * grid.cell)
         assert diff <= 1e-6
@@ -284,8 +327,9 @@ except gauge.GaugeConvergenceError as exc:
                                            exact_frac=0.5, target_norm=0.05)
         fast = gauge.minimize_gauge(omega)
         slow = gauge.minimize_gauge(omega, preconditioned=False, max_iter=20000)
-        a = gauge._gauged_connection(fast.P.coeffs[0], omega)
-        b = gauge._gauged_connection(slow.P.coeffs[0], omega)
+        skew = forms.SkewForm.of(omega)
+        a = gauge._gauged_connection(fast.P.coeffs[0], skew)
+        b = gauge._gauged_connection(slow.P.coeffs[0], skew)
         assert np.sqrt(((a - b) ** 2).sum() * grid.cell) <= 1e-6
 
 

@@ -168,6 +168,15 @@ class TestPicardStep:
         assert pt.flags.c_contiguous
         assert np.array_equal(pt, np.swapaxes(pair.P.coeffs[0], -1, -2))
 
+    def test_map_holds_d_star_xi_as_channels(self, coexact_setup):
+        # xi is exactly skew, so d(star xi) is, and its channels expand to it
+        _, pair = coexact_setup
+        d_star_xi = solver.PicardMap.of(pair).d_star_xi
+        want = forms.exterior_derivative(forms.hodge_star(pair.xi)).coeffs
+        assert isinstance(d_star_xi, forms.SkewForm)
+        assert np.array_equal(d_star_xi.expanded().coeffs.view(np.uint64),
+                              want.view(np.uint64))
+
     def test_zero_state_poisson_round_trip(self, grid, coexact_setup):
         _, pair = coexact_setup
         image = solver.picard_step(PairState.zeros(grid, 3), solver.PicardMap.of(pair))
@@ -308,6 +317,23 @@ class TestSolvePair:
         with pytest.raises(solver.SolverError, match="outside contraction regime"):
             solver.solve_pair(omega, solver.PicardMap.of(identity_pair(grid, 3)))
 
+    def test_connection_carries_its_size(self, grid, coexact_setup, monkeypatch):
+        # The guard and the report read the size the connection was built
+        # with; a MatrixForm is measured once, on the way in.
+        omega, pair = coexact_setup
+        connection = synth.Connection.of(omega)
+        assert connection.n2 == lorentz.lorentz_norm(omega, 3.0, 2.0)
+        assert synth.Connection.of(connection) is connection
+        pmap = solver.PicardMap.of(pair)
+        calls = []
+        norm = lorentz.lorentz_norm
+        monkeypatch.setattr(lorentz, "lorentz_norm", lambda field, p, q: calls.append(
+            (getattr(field, "k", None), q)) or norm(field, p, q))
+        _, _, report = solver.solve_pair(connection, pmap, probe_seed=None)
+        assert report.omega_n2 == connection.n2
+        assert (1, 2.0) not in calls  # da_n1 is the one 1-form size, at q = 1
+        assert (1, 1.0) in calls
+
     def test_regime_guard_boundary_has_a_margin(self, grid, coexact_setup):
         # A limit one ulp above the measured size is still "reached": the
         # verdict at the boundary must not hinge on the last bit of rounding.
@@ -411,14 +437,18 @@ class TestSolvePair:
         assert report.da_n1 == lorentz.lorentz_norm(d(A), 3.0, 1.0)
 
     def test_working_set(self, grid, mixed_setup, transient_peak):
-        # The map is the caller's, the probe's start goes after its first
-        # step and its fixed point after the gap, and the residual is built
-        # in one array, so the peak above the map is both runs' states and
-        # one step: within six and a half 2-forms (8.45 with the map built
-        # inside and the residual's three terms held whole, twelve before).
+        # The map and the connection are the caller's, as the pipeline holds
+        # them, the probe's start goes after its first step and its fixed
+        # point after the gap, and the residual is built in one array, so
+        # the peak above them is both runs' states and one step: within 6.2
+        # 2-forms (6.5 before the connection was held as so(m) channels and
+        # the transported current expanded d(star xi) into its own slots,
+        # 8.45 with the map built inside and the residual's three terms held
+        # whole, twelve before).
         omega, pair = mixed_setup
-        peak = transient_peak(solver.solve_pair, omega, solver.PicardMap.of(pair))
-        assert peak <= 6.5 * MatrixForm.zeros(grid, 2, 3).coeffs.nbytes
+        peak = transient_peak(solver.solve_pair, synth.Connection.of(omega),
+                              solver.PicardMap.of(pair))
+        assert peak <= 6.2 * MatrixForm.zeros(grid, 2, 3).coeffs.nbytes
 
     def test_two_dimensions(self):
         # Riviere's base case: the 2-form block is top degree.  The pair
@@ -464,10 +494,10 @@ class TestPairResidual:
         rng = np.random.default_rng(40 + n)
         A = synth.random_matrix_form(grid, 0, 3, rng, kmax=2, antisymmetric=False)
         B = synth.random_matrix_form(grid, 2, 3, rng, kmax=2)
-        omega = synth.random_matrix_form(grid, 1, 3, rng, kmax=2)
+        omega = synth.random_matrix_form(grid, 1, 3, rng, kmax=2, antisymmetric=True)
         dA = forms.exterior_derivative(A)
         r = dA - omega._like(A.coeffs[0] @ omega.coeffs) + forms.codifferential(B)
-        l2, sup = solver._residual_norms(dA, A, B, omega)
+        l2, sup = solver._residual_norms(dA, A, B, forms.SkewForm.of(omega))
         assert l2 == forms.l2_norm(r)
         assert sup == float(forms.pointwise_norm(r).max())
         assert (l2, sup) == solver.pair_residual(A, B, omega)
@@ -479,9 +509,9 @@ class TestPairResidual:
         rng = np.random.default_rng(8)
         A = synth.random_matrix_form(grid, 0, 3, rng, kmax=2, antisymmetric=False)
         B = synth.random_matrix_form(grid, 2, 3, rng, kmax=2)
-        omega = synth.random_matrix_form(grid, 1, 3, rng, kmax=2)
+        omega = synth.random_matrix_form(grid, 1, 3, rng, kmax=2, antisymmetric=True)
         dA = forms.exterior_derivative(A)
-        peak = transient_peak(solver._residual_norms, dA, A, B, omega)
+        peak = transient_peak(solver._residual_norms, dA, A, B, forms.SkewForm.of(omega))
         assert peak <= 2.25 * B.coeffs.nbytes
 
     def test_identity_pair_zero_connection(self, grid):

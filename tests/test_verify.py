@@ -126,6 +126,38 @@ class TestConservationResidual:
                 identity_matrix_form(grid, 3), MatrixForm.zeros(grid, 2, 3), u,
                 interior=0.7)
 
+    @pytest.fixture(scope="class")
+    def band_limited(self, grid):
+        # A generic pair with a unit-size two-form block, on a map whose
+        # gradient is band-limited: unlike a solved pair, B is far from 0.
+        rng = np.random.default_rng(31)
+        A = synth.random_matrix_form(grid, 0, 3, rng, kmax=2)
+        B = synth.random_matrix_form(grid, 2, 3, rng, kmax=2)
+        u = maps.perturbed_map(maps.geodesic_map(grid, 3, (1, 0, 0)), 0.1,
+                               seed=7, kmin=1, kmax=2)
+        return A, B, u
+
+    def test_paths_agree_with_a_two_form_block(self, grid, band_limited):
+        A, B, u = band_limited
+        report = verify.conservation_residual(A, B, u)
+        assert report.coordinate_gap <= verify.TWO_PATH_TOL
+        without_b = verify.conservation_residual(A, MatrixForm.zeros(grid, 2, 3), u)
+        assert abs(report.l2 - without_b.l2) >= 0.1 * report.l2
+
+    @pytest.mark.parametrize("sign", ["current_weight", "COORDINATE_FLUX_SIGN"])
+    def test_either_b_sign_alone_breaks_the_agreement(self, band_limited, sign,
+                                                      monkeypatch):
+        # the current's weight of (star B) ^ du and the coordinate flux's
+        # sign of B du each enter one path only
+        A, B, u = band_limited
+        if sign == "current_weight":
+            weight = solver.current_weight
+            monkeypatch.setattr(solver, "current_weight", lambda n: -weight(n))
+        else:
+            monkeypatch.setattr(solver, sign, -solver.COORDINATE_FLUX_SIGN)
+        with pytest.raises(RuntimeError, match="paths disagree"):
+            verify.conservation_residual(A, B, u)
+
     def test_reads_the_maps_one_gradient(self, relaxed_pair, monkeypatch):
         # Both paths take du from the map's cached gradient; the only
         # derivatives left are those of the current and of the fluxes.
