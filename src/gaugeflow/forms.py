@@ -267,8 +267,17 @@ class MatrixForm(_Form):
         return cls(grid, 0, coeffs)
 
     def antisymmetry_defect(self) -> float:
-        """Largest pointwise entry of coeffs + coeffs^T."""
-        return float(np.abs(self.coeffs + np.swapaxes(self.coeffs, -1, -2)).max())
+        """Largest pointwise entry of coeffs + coeffs^T.
+
+        Each component's |c + c^T| goes through one reused array, and the
+        maxima combine by np.maximum, so a NaN entry still gives nan.
+        """
+        buf = np.empty(self.coeffs.shape[1:])
+        worst = 0.0
+        for comp in self.coeffs:
+            np.add(comp, np.swapaxes(comp, -1, -2), out=buf)
+            worst = np.maximum(worst, np.abs(buf, out=buf).max())
+        return float(worst)
 
 
 class VectorForm(_Form):
@@ -538,9 +547,23 @@ def _wedge_table(n: int, p: int, q: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _wedge_plan(n: int, p: int, q: int) -> tuple:
-    # (comp_a, comp_b, sign) terms grouped by output, as a derivative plan.
-    return _grouped(_wedge_table(n, p, q), len(components(n, p + q)))
+def _wedge_schedule(n: int, p: int, q: int) -> tuple:
+    # The wedge table by right component, last to first: (comp_b, terms)
+    # with terms (comp_a, comp_out, sign, first), where `first` marks the
+    # term that starts its output.  Within one output the table's terms
+    # take increasing left blocks, whose complements, the right blocks,
+    # decrease, so this order still sums each output in the table's order.
+    table = _wedge_table(n, p, q)
+    started = set()
+    schedule = []
+    for ib in reversed(range(len(components(n, q)))):
+        terms = []
+        for ia, jb, io, sign in table:
+            if jb == ib:
+                terms.append((ia, io, sign, io not in started))
+                started.add(io)
+        schedule.append((ib, tuple(terms)))
+    return tuple(schedule)
 
 
 def wedge(a: MatrixForm, b):
@@ -560,46 +583,72 @@ def wedge(a: MatrixForm, b):
     return b._like(_wedge_coeffs(a, b), a.k + b.k)
 
 
-def _wedge_coeffs(a: MatrixForm, b, transpose_right: bool = False) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class _Partials:
+    """The 1-form d of a 0-form whose one component is `values`, taken one
+    partial at a time.
+
+    expand_into(c, out) writes d/dx_c of values into out exactly as
+    exterior_derivative writes its component c; `work`, of values' shape,
+    is the differentiation's scratch array.  A wedge reads each partial
+    once, so d is never held whole.
+    """
+
+    grid: Grid
+    values: np.ndarray
+    work: np.ndarray
+
+    k = 1
+
+    @property
+    def shape(self) -> tuple:
+        """Coefficient shape of the full 1-form."""
+        return (self.grid.n,) + self.values.shape
+
+    def expand_into(self, comp: int, out: np.ndarray) -> np.ndarray:
+        res = self.grid.res
+        _differentiate_into(self.values, comp, res, _derivative_matrix(res), self.work, out)
+        return out
+
+
+def _wedge_coeffs(a: MatrixForm, b, right: np.ndarray | None = None,
+                  prod: np.ndarray | None = None) -> np.ndarray:
     """Coefficients of a ^ b in a fresh, writable array.
 
-    Each output's first term is a product straight into it, later ones go
-    through one reused product array.  Matrix times vector runs on einsum,
-    which beats a batched matmul by a column at these shapes.  A SkewForm b
-    is expanded one component at a time into a reused array.  With
-    transpose_right, b's matrix values enter transposed: each term copies
-    one component of b^T into a reused contiguous array, so b^T is never
-    held whole and no product takes a transposed view.
+    b is a form, or a source that writes one component at a time into a
+    reused array: a SkewForm expands it, a _Partials differentiates it.
+    Each component of b is read once, last to first, and every term that
+    reads it is taken then; each output still sums its terms in the
+    table's order.  An output's first term is a product straight into it,
+    later ones go through one reused product array.  `right` and `prod`,
+    one component's size, are scratch arrays a caller may share between
+    wedges.  Matrix times vector runs on einsum, which beats a batched
+    matmul by a column at these shapes.
     """
     matvec = isinstance(b, VectorForm)
-    skew = isinstance(b, SkewForm)
-    plan = _wedge_plan(a.grid.n, a.k, b.k)
-    out = np.empty((len(plan),) + (b.shape if skew else b.coeffs.shape)[1:])
-    prod = None
-    right = np.empty(out.shape[1:]) if skew or transpose_right else None
-    for target, (terms, _) in zip(out, plan):
-        for j, (ia, ib, sign) in enumerate(terms):
-            if skew:
-                b.expand_into(ib, right)
-            elif transpose_right:
-                np.copyto(right, np.swapaxes(b.coeffs[ib], -1, -2))
-            else:
-                right = b.coeffs[ib]
-            if j and prod is None:
+    held = isinstance(b, _Form)
+    shape = b.coeffs.shape if held else b.shape
+    out = np.empty((len(components(a.grid.n, a.k + b.k)),) + shape[1:])
+    if not held and right is None:
+        right = np.empty(out.shape[1:])
+    for ib, terms in _wedge_schedule(a.grid.n, a.k, b.k):
+        comp = b.coeffs[ib] if held else b.expand_into(ib, right)
+        for ia, io, sign, first in terms:
+            if not first and prod is None:
                 prod = np.empty(out.shape[1:])
-            dest = prod if j else target
+            dest = out[io] if first else prod
             if matvec:
-                np.einsum("...ij,...j->...i", a.coeffs[ia], right, out=dest)
+                np.einsum("...ij,...j->...i", a.coeffs[ia], comp, out=dest)
             else:
-                np.matmul(a.coeffs[ia], right, out=dest)
+                np.matmul(a.coeffs[ia], comp, out=dest)
             # a first term is 0 + p or 0 - p, as a sum into zeros gives it,
             # down to the sign of a zero entry
-            if j:
-                _add_scaled(target, prod, sign)
+            if not first:
+                _add_scaled(out[io], prod, sign)
             elif sign > 0:
-                target += 0.0
+                dest += 0.0
             else:
-                np.subtract(0.0, target, out=target)
+                np.subtract(0.0, dest, out=dest)
     return out
 
 

@@ -184,27 +184,25 @@ def _check_source_mean(src: MatrixForm, label: str) -> None:
 class PicardMap:
     """All the construction reads of a gauge pair (P, xi).
 
-    The affine map's gauge coefficients P^T, dP and d(star xi).  Neither P
-    nor xi is read again, so a caller that drops its gauge pair once the map
-    is built frees both before the first Picard step.
+    The affine map's gauge coefficients P^T and d(star xi).  Neither P nor
+    xi is read again, so a caller that drops its gauge pair once the map is
+    built frees both before the first Picard step.
 
     P^T is a contiguous copy, since batched products with a transposed view
     as right operand take numpy's slow path.  d(star xi) is exactly
     antisymmetric, as xi is, so it is held as so(m) channels, a third of
     its full size at m = 3; each step's two readers expand it one component
-    at a time.  dP^T is not held: each step's wedge copies it out of dP one
-    component at a time, while a held copy would stay alive through the
-    whole solve and raise its peak memory.
+    at a time.  dP is not held: each step takes the rotation's partials
+    itself, one at a time, where its two wedges read them, so the map holds
+    two thirds of a 2-form at m = 3 where dP alone would hold one.
     """
 
     pt: np.ndarray
-    dp: MatrixForm
     d_star_xi: SkewForm
 
     @classmethod
     def of(cls, gauge_pair: GaugePair) -> "PicardMap":
         return cls(gauge._transpose(gauge_pair.P.coeffs[0]),
-                   forms.exterior_derivative(gauge_pair.P),
                    SkewForm.of(forms.exterior_derivative(forms.hodge_star(gauge_pair.xi))))
 
 
@@ -239,27 +237,34 @@ def picard_step(state: PairState, pmap: PicardMap) -> PairState:
 
     Each source is built in place, solved in its own array, and every
     full-size temporary goes as soon as it is consumed, so the step's
-    working set stays a few 2-forms.  d(star b) and the starred
+    working set stays a few 2-forms.  The rotation's partials are taken
+    here, each once, where the wedges read them: d(star b) ^ dP first,
+    from one copy of P, before da exists, and da ^ dP^T from P^T, whose
+    partials are bitwise those of P transposed.  The three wedges share
+    one component's scratch arrays.  d(star b) and the starred
     codifferential of the transported current run as derivative plans,
     with no copy of a starred form and no full-size codifferential.  The
     solved 2-form is projected onto closed forms in its own array, so the
     iterate before the projection is never held beside it.
     """
     grid = state.a.grid
-    da = forms.exterior_derivative(state.a)
+    right, work, prod = (np.empty(pmap.pt.shape) for _ in range(3))
     d_star_b = MatrixForm(grid, grid.n - 1, forms._image(
         state.b.coeffs, forms._d_star_plan(grid.n, 2), grid.res))
-
+    rotation = forms._Partials(grid, gauge._transpose(pmap.pt), work)
     # Both wedges are top forms, whose star is their one component, sign +1.
-    scalar = forms._wedge_coeffs(da, pmap.d_star_xi)
+    second = forms._wedge_coeffs(d_star_b, rotation, right, prod)
+    del d_star_b, rotation
+    da = forms.exterior_derivative(state.a)
+    scalar = forms._wedge_coeffs(da, pmap.d_star_xi, right, prod)
     _scale(scalar, SCALAR_GRADIENT_COUPLING)
-    forms._add_scaled(scalar, forms._wedge_coeffs(d_star_b, pmap.dp), second_sign(grid.n))
-    del d_star_b
+    forms._add_scaled(scalar, second, second_sign(grid.n))
+    del second
     a_new = MatrixForm(grid, 0, _solve_source(grid, 0, scalar, "0-form"))
     del scalar
 
-    two = forms._wedge_coeffs(da, pmap.dp, transpose_right=True)
-    del da
+    two = forms._wedge_coeffs(da, forms._Partials(grid, pmap.pt, work), right, prod)
+    del da, right, work, prod
     _scale(two, TWO_FORM_JACOBIAN_COUPLING)
     a_tilde = state.a.coeffs[0] + np.eye(state.a.m)
     current = _transported_current(a_tilde, pmap)
@@ -444,7 +449,7 @@ def solve_pair(omega: MatrixForm | synth.Connection, pmap: PicardMap, tol: float
 def measure_contraction(pmap: PicardMap, rng: np.random.Generator,
                         samples: int = 3) -> float:
     """Largest measured ratio of the map over random unit-norm state pairs."""
-    grid, m = pmap.dp.grid, pmap.dp.m
+    grid, m = pmap.d_star_xi.grid, pmap.d_star_xi.m
     worst = 0.0
     for _ in range(samples):
         s1 = random_state(grid, m, rng)

@@ -277,10 +277,23 @@ class TestWedge:
                 got = forms._wedge_coeffs(a, b)
                 assert np.abs(got - formula).max() <= 1e-14 * np.abs(formula).max()
                 assert np.array_equal(got.view(np.uint64), summed.view(np.uint64))
-                if values == "matrix":
-                    flipped = forms._wedge_coeffs(a, b, transpose_right=True)
-                    want = forms._wedge_coeffs(a, value_transpose(b))
-                    assert np.array_equal(flipped.view(np.uint64), want.view(np.uint64))
+
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_schedule_keeps_the_table_order(self, n):
+        # right components last to first still meet each output's terms in
+        # the table's order, and the first one met starts its output
+        for p in range(n + 1):
+            for q in range(n + 1 - p):
+                met = {}
+                for ib, terms in forms._wedge_schedule(n, p, q):
+                    for ia, io, sign, first in terms:
+                        assert first == (io not in met)
+                        met.setdefault(io, []).append((ia, ib, sign))
+                table = {}
+                for ia, ib, io, sign in forms._wedge_table(n, p, q):
+                    table.setdefault(io, []).append((ia, ib, sign))
+                assert met == table
 
 
 class TestPoisson:
@@ -423,6 +436,75 @@ class TestSkewForm:
         b = synth.random_matrix_form(grid, n - 1, 3, rng, kmax=2, antisymmetric=True)
         want = forms._wedge_coeffs(a, b)
         assert np.array_equal(_bits(forms._wedge_coeffs(a, SkewForm.of(b))), _bits(want))
+
+
+
+class TestPartials:
+    """A 0-form's first partials, taken one at a time where a wedge reads them."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_partials_are_the_exterior_derivative(self, n):
+        grid = Grid(n, 8)
+        form = synth.random_matrix_form(grid, 0, 3, np.random.default_rng(n), kmax=2)
+        values = form.coeffs[0]
+        work = np.empty(values.shape)
+        source = forms._Partials(grid, values, work)
+        # the derivative acts entrywise, so the partials of the transpose
+        # are the transposed partials
+        transposed = forms._Partials(
+            grid, np.ascontiguousarray(np.swapaxes(values, -1, -2)), work)
+        d = exterior_derivative(form).coeffs
+        assert source.shape == d.shape
+        out = np.full(values.shape, np.nan)
+        for c in range(n):
+            assert source.expand_into(c, out) is out
+            assert np.array_equal(_bits(out), _bits(d[c]))
+            want = np.ascontiguousarray(np.swapaxes(d[c], -1, -2))
+            assert np.array_equal(_bits(transposed.expand_into(c, out)), _bits(want))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_wedge_reads_the_partials(self, n):
+        # the rotation wedges of a step, d(star b) ^ dP and da ^ dP
+        grid = Grid(n, 8)
+        rng = np.random.default_rng(n)
+        rotation = synth.random_matrix_form(grid, 0, 3, rng, kmax=2)
+        values = rotation.coeffs[0]
+        d = exterior_derivative(rotation)
+        right, work, prod = (np.empty(values.shape) for _ in range(3))
+        for p in (1, n - 1):
+            a = synth.random_matrix_form(grid, p, 3, rng, kmax=2)
+            got = forms._wedge_coeffs(a, forms._Partials(grid, values, work), right, prod)
+            assert np.array_equal(_bits(got), _bits(forms._wedge_coeffs(a, d)))
+
+
+class TestAntisymmetryDefect:
+    """The largest entry of c + c^T, one component at a time."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_the_whole_form_expression(self, n):
+        grid = Grid(n, 8)
+        rng = np.random.default_rng(n)
+        for k in range(n + 1):
+            for antisymmetric in (False, True):
+                form = synth.random_matrix_form(grid, k, 3, rng, kmax=2,
+                                                antisymmetric=antisymmetric)
+                want = float(np.abs(form.coeffs + np.swapaxes(form.coeffs, -1, -2)).max())
+                assert np.array_equal(_bits(np.float64(form.antisymmetry_defect())),
+                                      _bits(np.float64(want)))
+
+    def test_a_nan_entry_gives_nan(self, rng):
+        form = synth.random_matrix_form(Grid(3, 8), 1, 3, rng, kmax=2, antisymmetric=True)
+        for comp in range(3):
+            coeffs = form.coeffs.copy()
+            coeffs[comp, 1, 2, 3, 0, 1] = np.nan
+            assert np.isnan(MatrixForm(form.grid, 1, coeffs).antisymmetry_defect())
+
+    def test_working_set_is_one_component(self, transient_peak):
+        # one component's buffer plus the 64 KiB that numpy's add keeps for a
+        # transposed operand; the whole-form sum and its abs were six
+        form = synth.random_matrix_form(Grid(3, 16), 2, 3, np.random.default_rng(3), kmax=2)
+        peak = transient_peak(MatrixForm.antisymmetry_defect, form)
+        assert peak <= 1.25 * form.coeffs[0].nbytes
 
 
 class TestStructuralLaws:

@@ -1,5 +1,7 @@
 """Fixed-point solver tests: state norms, single steps, and full solves."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,52 @@ def identity_pair(grid: Grid, m: int, xi: MatrixForm | None = None) -> gauge.Gau
         xi = MatrixForm.zeros(grid, 2, m)
     diag = gauge.GaugeDiagnostics(0.0, 0.0, 0, 0.0, 0.0)
     return gauge.GaugePair(p, xi, diag)
+
+
+def wedge_in_table_order(a: MatrixForm, b_coeffs: np.ndarray, q: int) -> np.ndarray:
+    """a ^ b summed output by output in the wedge table's order: a first
+    term straight into its output as 0 + p or 0 - p, a later one through
+    a product array."""
+    n = a.grid.n
+    out = np.empty((len(forms.components(n, a.k + q)),) + b_coeffs.shape[1:])
+    prod = np.empty(out.shape[1:])
+    started = set()
+    for ia, ib, io, sign in forms._wedge_table(n, a.k, q):
+        if io in started:
+            np.matmul(a.coeffs[ia], b_coeffs[ib], out=prod)
+            forms._add_scaled(out[io], prod, sign)
+            continue
+        started.add(io)
+        np.matmul(a.coeffs[ia], b_coeffs[ib], out=out[io])
+        if sign > 0:
+            out[io] += 0.0
+        else:
+            np.subtract(0.0, out[io], out=out[io])
+    return out
+
+
+def step_with_dp_held(state: PairState, pmap: solver.PicardMap) -> PairState:
+    """picard_step with dP and dP^T formed whole, in the order it once ran."""
+    grid = state.a.grid
+    dp = forms.exterior_derivative(
+        MatrixForm(grid, 0, np.swapaxes(pmap.pt, -1, -2)[None]))
+    da = forms.exterior_derivative(state.a)
+    d_star_b = MatrixForm(grid, grid.n - 1, forms._image(
+        state.b.coeffs, forms._d_star_plan(grid.n, 2), grid.res))
+    scalar = wedge_in_table_order(da, pmap.d_star_xi.expanded().coeffs, grid.n - 1)
+    solver._scale(scalar, solver.SCALAR_GRADIENT_COUPLING)
+    forms._add_scaled(scalar, wedge_in_table_order(d_star_b, dp.coeffs, 1),
+                      solver.second_sign(grid.n))
+    a_new = solver._solve_source(grid, 0, scalar, "0-form")
+    two = wedge_in_table_order(da, np.ascontiguousarray(np.swapaxes(dp.coeffs, -1, -2)), 1)
+    solver._scale(two, solver.TWO_FORM_JACOBIAN_COUPLING)
+    current = solver._transported_current(state.a.coeffs[0] + np.eye(state.a.m), pmap)
+    forms._add_image(two, current, forms._star_codiff_plan(grid.n, grid.n - 1), grid.res,
+                     solver.TWO_FORM_TRANSPORT_COUPLING)
+    b_new = solver._solve_source(grid, 2, two, "2-form")
+    if grid.n > 2:
+        forms._project_closed_in_place(b_new, grid.n, 2, grid.res)
+    return PairState(MatrixForm(grid, 0, a_new), MatrixForm(grid, 2, b_new))
 
 
 @pytest.fixture(scope="module")
@@ -188,34 +236,73 @@ class TestPicardStep:
         defect = forms.l2_norm(forms.laplacian(image.b) + src)
         assert defect <= 1e-8 * max(1.0, forms.l2_norm(src))
 
-    def test_map_differentiates_the_rotation_once(self, grid, mixed_setup, monkeypatch):
-        # dP depends only on the gauge pair: building the map differentiates
-        # P once, and neither a solve from the map (probe included) nor a
-        # contraction measurement on it does again.
-        omega, pair = mixed_setup
-        d = forms.exterior_derivative
-        seen = []
-
-        def counted(form):
-            if form is pair.P:
-                seen.append(form)
-            return d(form)
-
-        monkeypatch.setattr(forms, "exterior_derivative", counted)
+    def test_map_holds_no_rotation_partial(self, grid, mixed_setup):
+        # P^T and the d(star xi) channels: two thirds of a 2-form at m = 3,
+        # where dP alone is one
+        _, pair = mixed_setup
         pmap = solver.PicardMap.of(pair)
-        assert len(seen) == 1
+        held = sum(value.nbytes if isinstance(value, np.ndarray) else value.upper.nbytes
+                   for value in (getattr(pmap, f.name) for f in dataclasses.fields(pmap)))
+        assert held <= 0.7 * MatrixForm.zeros(grid, 2, 3).coeffs.nbytes
+
+    def test_step_differentiates_the_rotation_in_each_wedge(self, grid, mixed_setup,
+                                                            monkeypatch):
+        # Building the map takes no partial of P; each step takes each of
+        # the n partials of P once for d(star b) ^ dP and each of P^T once
+        # for da ^ dP^T, in a solve (probe included) and a contraction
+        # measurement alike.
+        omega, pair = mixed_setup
+        rotation = pair.P.coeffs[0]
+        transposed = np.swapaxes(rotation, -1, -2)
+        differentiate, step = forms._differentiate_into, solver.picard_step
+        partials, steps = [], []
+
+        def counted_partial(arr, *args):
+            if arr.shape == rotation.shape and (np.array_equal(arr, rotation)
+                                                or np.array_equal(arr, transposed)):
+                partials.append(arr)
+            return differentiate(arr, *args)
+
+        def counted_step(*args):
+            steps.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(forms, "_differentiate_into", counted_partial)
+        monkeypatch.setattr(solver, "picard_step", counted_step)
+        pmap = solver.PicardMap.of(pair)
+        assert partials == []
         _, _, report = solver.solve_pair(omega, pmap)
         assert report.iterations >= 2 and report.uniqueness_gap is not None
-        assert len(seen) == 1
-        solver.measure_contraction(pmap, np.random.default_rng(3))
-        assert len(seen) == 1
+        assert len(steps) > report.iterations
+        assert len(partials) == 2 * grid.n * len(steps)
+        solver.measure_contraction(pmap, np.random.default_rng(3), samples=1)
+        assert len(partials) == 2 * grid.n * len(steps)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_step_matches_the_step_with_dp_held(self, n):
+        # The step as it was with dP held whole and each output of a wedge
+        # summed term by term in table order, kept here as the reference.
+        grid = Grid(n, 8)
+        rng = np.random.default_rng(40 + n)
+        skew = synth.random_matrix_form(grid, 0, 3, rng, kmax=2, antisymmetric=True)
+        rotation = gauge.so_exp(skew.coeffs[0])
+        xi = synth.random_matrix_form(grid, 2, 3, rng, kmax=2, antisymmetric=True)
+        pmap = solver.PicardMap(
+            gauge._transpose(rotation),
+            forms.SkewForm.of(forms.exterior_derivative(forms.hodge_star(xi))))
+        state = solver.random_state(grid, 3, rng)
+        got = solver.picard_step(state, pmap)
+        want = step_with_dp_held(state, pmap)
+        for block in ("a", "b"):
+            assert np.array_equal(getattr(got, block).coeffs.view(np.uint64),
+                                  getattr(want, block).coeffs.view(np.uint64))
 
     def test_working_set(self, grid, mixed_setup, transient_peak):
         # Sources are built and solved in place, every temporary is dropped
         # once consumed, and the transported current's starred
         # codifferential is added one component at a time: the step's peak
-        # above its inputs, its result included, stays within three and a
-        # half 2-forms (4.4 with a full-size codifferential and a copy of
+        # above its inputs, its result and the rotation's partials included,
+        # stays within three and a half 2-forms (4.4 with a full-size codifferential and a copy of
         # dP^T, 8.3 when each stage held its temporaries to the end).
         _, pair = mixed_setup
         pmap = solver.PicardMap.of(pair)
