@@ -32,7 +32,6 @@ __all__ = [
     "VectorForm",
     "SkewForm",
     "components",
-    "partial_derivative",
     "exterior_derivative",
     "codifferential",
     "hodge_star",
@@ -45,7 +44,6 @@ __all__ = [
     "l2_norm",
     "pointwise_norm",
     "sup_norm",
-    "value_transpose",
 ]
 
 
@@ -362,12 +360,6 @@ class SkewForm:
         for comp, target in enumerate(out):
             self.expand_into(comp, target)
         return MatrixForm(self.grid, self.k, out)
-
-
-def partial_derivative(form, axis: int):
-    """Spectral d/dx_axis applied to every coefficient."""
-    out = _spectral_axis_derivative(form.coeffs, 1 + axis, form.grid.res)
-    return form._like(out)
 
 
 @lru_cache(maxsize=None)
@@ -713,17 +705,12 @@ def laplacian(form):
     return form._like(_apply_symbol(form.coeffs, sym, 1))
 
 
-def solve_poisson(form, zero_mean: bool = False):
+def solve_poisson(form):
     """Solve -laplacian(phi) = form componentwise with mean(phi) = 0.
 
     Kernel content of the input (componentwise means plus any energy in the
-    dropped Nyquist bins) is discarded.  Passing zero_mean asserts that the
-    input means vanish, turning silent kernel loss into an error.
+    dropped Nyquist bins) is discarded.
     """
-    if zero_mean:
-        worst = float(np.abs(_grid_means(form)).max())
-        if worst > 1e-10:
-            raise ValueError(f"right-hand side has nonzero mean {worst:.3e}")
     sym = _poisson_symbol(form.grid.n, form.grid.res)
     return form._like(_apply_symbol(form.coeffs, sym, 1))
 
@@ -815,8 +802,3 @@ def pointwise_norm(form) -> np.ndarray:
 
 def sup_norm(form) -> float:
     return float(pointwise_norm(form).max())
-
-
-def value_transpose(form: MatrixForm) -> MatrixForm:
-    """Transpose the matrix values pointwise."""
-    return form._like(np.swapaxes(form.coeffs, -1, -2))

@@ -13,7 +13,6 @@ and which is reported separately).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +26,9 @@ __all__ = [
     "GaugeConvergenceError",
     "so_exp",
     "rotation_distance",
-    "gauge_energy",
     "minimize_gauge",
     "extract_xi",
 ]
-
-_log = logging.getLogger(__name__)
 
 ORTHOGONALITY_TOL = 1e-10
 REPROJECT_TOL = 1e-12
@@ -156,18 +152,6 @@ def _energy(gauged: np.ndarray, grid: Grid) -> float:
     return forms._sum_products(gauged, gauged) * grid.cell
 
 
-def gauge_energy(P: MatrixForm, omega: MatrixForm | SkewForm) -> float:
-    """Squared L2 norm of the gauged connection."""
-    if P.k != 0 or omega.k != 1:
-        raise ValueError("need a rotation 0-form and a connection 1-form")
-    if P.grid != omega.grid or P.m != omega.m:
-        raise ValueError("rotation and connection are incompatible")
-    if _orthogonality_defect(P.coeffs[0]) > ORTHOGONALITY_TOL:
-        raise ValueError("rotation field is not orthogonal")
-    omega = SkewForm.of(omega)
-    return _energy(_gauged_connection(P.coeffs[0], omega), omega.grid)
-
-
 def minimize_gauge(omega: MatrixForm | SkewForm, tol: float | None = None,
                    max_iter: int = 5000, preconditioned: bool = True) -> GaugePair:
     """The Coulomb gauge pair of omega: descend to the rotation, then extract xi.
@@ -262,9 +246,6 @@ def _complete(P: MatrixForm, omega: SkewForm, gauged: np.ndarray, energy: float,
     gauged = MatrixForm(grid, 1, gauged)
     harmonic = forms.l2_norm(forms.harmonic_part(gauged))
     xi_raw = forms.exterior_derivative(forms.solve_poisson(gauged))
-    if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("potential antisymmetry defect %.3e removed",
-                   xi_raw.antisymmetry_defect())
     coeffs = 0.5 * (xi_raw.coeffs - np.swapaxes(xi_raw.coeffs, -1, -2))
     xi = MatrixForm(grid, 2, coeffs)
     representation = forms.l2_norm(forms.codifferential(xi) - gauged)

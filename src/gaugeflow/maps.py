@@ -62,9 +62,10 @@ class MapField:
         return forms.exterior_derivative(self.as_form())
 
 
-def constant_map(grid: Grid, m: int, axis: int = 0) -> MapField:
+def constant_map(grid: Grid, m: int) -> MapField:
+    """The map that sends every point to e_0."""
     values = np.zeros(grid.shape + (m,))
-    values[..., axis] = 1.0
+    values[..., 0] = 1.0
     return MapField(grid, values)
 
 
@@ -84,21 +85,20 @@ def check_noise(delta: float) -> None:
         raise ValueError("noise amplitude must lie in [0, 0.2]")
 
 
-def geodesic_map(grid: Grid, m: int, wave, axes=(0, 1)) -> MapField:
-    """Great-circle map u = cos(2 pi kappa.x) e_i + sin(2 pi kappa.x) e_j.
+def geodesic_map(grid: Grid, m: int, wave) -> MapField:
+    """Great-circle map u = cos(2 pi kappa.x) e_0 + sin(2 pi kappa.x) e_1.
 
     An exact harmonic map for any nonzero integer wave vector kappa; the
     wave must be resolved by at least four points per oscillation.
     """
     wave = np.asarray(wave, dtype=int)
-    i, j = axes
-    if m < 2 or not 0 <= i < m or not 0 <= j < m or i == j:
-        raise ValueError("need two distinct target axes and m >= 2")
+    if m < 2:
+        raise ValueError("a great circle needs m >= 2")
     check_wave(grid, wave)
     phase = 2 * np.pi * np.tensordot(wave, grid.coords(), axes=1)
     values = np.zeros(grid.shape + (m,))
-    values[..., i] = np.cos(phase)
-    values[..., j] = np.sin(phase)
+    values[..., 0] = np.cos(phase)
+    values[..., 1] = np.sin(phase)
     return MapField(grid, values)
 
 

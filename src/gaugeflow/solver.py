@@ -155,12 +155,11 @@ def _difference_norm(new: PairState, old: PairState) -> StateNorm:
     return _norm_beside(new.a - old.a, db)
 
 
-def random_state(grid: Grid, m: int, rng: np.random.Generator,
-                 kmax: int = 2, total: float = 1.0) -> PairState:
-    """A state on the unit sphere of the norm (scaled to `total`)."""
-    a = synth.random_matrix_form(grid, 0, m, rng, kmax, antisymmetric=False)
-    b = forms.project_closed(synth.random_matrix_form(grid, 2, m, rng, kmax))
-    scale = total / state_norm(a, b).total
+def random_state(grid: Grid, m: int, rng: np.random.Generator) -> PairState:
+    """A state on the unit sphere of the norm, with modes max|k| <= 2."""
+    a = synth.random_matrix_form(grid, 0, m, rng, 2, antisymmetric=False)
+    b = forms.project_closed(synth.random_matrix_form(grid, 2, m, rng, 2))
+    scale = 1.0 / state_norm(a, b).total
     return PairState(scale * a, scale * b)
 
 

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms, lorentz
-from .forms import Grid, MatrixForm, VectorForm
+from .forms import Grid, MatrixForm
 
 __all__ = [
     "Connection",
     "band_limited_field",
     "random_matrix_form",
-    "random_vector_form",
     "smooth_cutoff",
     "synthetic_connection",
 ]
@@ -85,15 +84,6 @@ def random_matrix_form(grid: Grid, k: int, m: int, rng: np.random.Generator,
     if antisymmetric:
         coeffs = 0.5 * (coeffs - np.swapaxes(coeffs, -1, -2))
     return MatrixForm(grid, k, coeffs)
-
-
-def random_vector_form(grid: Grid, k: int, m: int, rng: np.random.Generator,
-                       kmax: int, kmin: int = 1) -> VectorForm:
-    ncomp = len(forms.components(grid.n, k))
-    coeffs = np.stack([
-        band_limited_field(grid, rng, kmax, kmin, (m,)) for _ in range(ncomp)
-    ])
-    return VectorForm(grid, k, coeffs)
 
 
 def smooth_cutoff(grid: Grid, halfwidth: float = 0.25) -> np.ndarray:

@@ -46,7 +46,7 @@ class ResidualReport:
     sup: float
     budget: float = 0.0
     order: float | str | None = None
-    components: tuple = ()  # (name, value) budget and diagnostic pairs
+    components: tuple = ()  # (name, value) budget pairs
     coordinate_gap: float | None = None
     ladder: tuple = ()  # (resolution, l2) pairs when a study ran
 
@@ -116,13 +116,10 @@ def _coordinate_divergence(A: MatrixForm, B: MatrixForm, u: MapField) -> np.ndar
     return divergence
 
 
-def conservation_residual(A: MatrixForm, B: MatrixForm, u: MapField,
-                          interior: float | None = None) -> ResidualReport:
+def conservation_residual(A: MatrixForm, B: MatrixForm, u: MapField) -> ResidualReport:
     """Norms of dJ, cross-checked against the coordinate-space divergence.
 
-    The report is a measurement; `judge` adds the budget.  With `interior`
-    set, norms restricted to the central subbox [margin, 1-margin]^n are
-    reported as components, for cutoff-supported data.
+    The report is a measurement; `judge` adds the budget.
     """
     grid = u.grid
     current = conservation_current(A, B, u)
@@ -139,38 +136,21 @@ def conservation_residual(A: MatrixForm, B: MatrixForm, u: MapField,
             f"conservation current paths disagree: gap {gap:.3e} "
             f"exceeds {TWO_PATH_TOL:.1e} x {scale:.3e}")
 
-    components = ()
-    if interior is not None:
-        if not 0.0 < interior < 0.5:
-            raise ValueError("interior margin must lie in (0, 0.5)")
-        axes = np.arange(grid.res) / grid.res
-        inside = (axes >= interior) & (axes < 1.0 - interior)
-        mask = np.ones(grid.shape, dtype=bool)
-        for axis in range(grid.n):
-            shape = [1] * grid.n
-            shape[axis] = grid.res
-            mask &= inside.reshape(shape)
-        square = forms._pointwise_sq(density, 0, grid.n)[mask]
-        interior_l2 = float(np.sqrt(square.sum() * grid.cell))
-        interior_sup = float(np.sqrt(square.max(initial=0.0)))
-        components += (("interior_l2", interior_l2), ("interior_sup", interior_sup))
-
     return ResidualReport(forms.l2_norm(residual), forms.sup_norm(residual),
-                          components=components, coordinate_gap=gap)
+                          coordinate_gap=gap)
 
 
 def judge(measured: ResidualReport, budget_components: tuple) -> ResidualReport:
     """The certificate: `measured` with its budget, the sum of the (name,
-    value) defect pairs, which come before its own components.  Raises when
-    l2 exceeds BUDGET_FACTOR x budget."""
+    value) defect pairs, which it stores.  Raises when l2 exceeds
+    BUDGET_FACTOR x budget."""
     budget = float(sum(value for _, value in budget_components))
     if measured.l2 > BUDGET_FACTOR * budget:
         raise ValueError(
             f"conservation residual {measured.l2:.3e} exceeds the defect "
             f"budget {budget:.3e} (factor {BUDGET_FACTOR})")
-    return dataclasses.replace(
-        measured, budget=budget,
-        components=tuple(budget_components) + measured.components)
+    return dataclasses.replace(measured, budget=budget,
+                               components=tuple(budget_components))
 
 
 def sphere_divergence_residual(u: MapField,

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from gaugeflow import forms, synth
+
 settings.register_profile(
     "suite",
     deadline=None,
@@ -40,6 +42,18 @@ def _transient_peak(fn, *args) -> int:
 @pytest.fixture
 def transient_peak():
     return _transient_peak
+
+
+def _random_vector_form(grid, k, m, rng, kmax):
+    """Vector-valued k-form with one band_limited_field draw per component."""
+    coeffs = np.stack([synth.band_limited_field(grid, rng, kmax, 1, (m,))
+                       for _ in forms.components(grid.n, k)])
+    return forms.VectorForm(grid, k, coeffs)
+
+
+@pytest.fixture
+def random_vector_form():
+    return _random_vector_form
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

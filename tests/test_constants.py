@@ -237,14 +237,14 @@ class TestBandLimitedCouplings:
                    mul0(a, forms.exterior_derivative(forms.hodge_star(xi))), q))))
         assert forms.l2_norm(lhs - rhs) <= 1e-10 * forms.l2_norm(lhs)
 
-    def test_two_path_current_divergence(self, setup):
+    def test_two_path_current_divergence(self, setup, random_vector_form):
         # exact to rounding at ANY band limit: both paths differentiate the
         # same pointwise products
         grid, draw = setup
         n = grid.n
         a, b = draw(0), draw(2)
         rng = np.random.default_rng(7)
-        u = synth.random_vector_form(grid, 0, 2, rng, kmax=3)
+        u = random_vector_form(grid, 0, 2, rng, kmax=3)
         du = forms.exterior_derivative(u)
         current = forms.wedge(a, du)  # A du as a vector 1-form
         path1 = forms.exterior_derivative(

@@ -1,5 +1,6 @@
 """Source scans for dead code: every private module-level name and every
-method or property of the package is used somewhere."""
+method or property of the package is used somewhere, and every public name
+is read by the package or a script, or is a named oracle."""
 
 import ast
 from collections import Counter
@@ -10,6 +11,29 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gaugeflow"
 USERS = ("src", "scripts", "tests", "perfbench")
+READERS = ("src", "scripts")
+
+# Public names that no stage or script reads, and why each stays: a test
+# checks the construction against it, or it reads what the stages wrote.
+# A name that src/ or scripts/ comes to read, or that leaves __all__, must
+# leave this list too.
+ORACLES = {
+    "forms.inner": "the L2 pairing behind the d / d* adjointness tests",
+    "fieldio.read_field": "reads the written fields back for the I/O, CLI "
+                          "and determinism tests",
+    "gauge.extract_xi": "completes a gauge pair for any rotation; the gauge "
+                        "tests check minimize_gauge's pair and energy with it",
+    "solver.pair_residual": "dA - A Omega + d*B from the fields alone; the "
+                            "solver tests check the report's residual with it",
+    "verify.bound_ratios": "the bound table from the written fields; the CLI "
+                           "and verify tests check the solver's sizes with it",
+    "connection.sphere_frame": "the sphere's normal frame, which "
+                               "omega_from_frame contracts",
+    "connection.omega_from_frame": "the frame construction of the connection, "
+                                   "the reference for omega_sphere",
+    "connection.connection_residual": "certifies -lap(u) = Omega . grad(u) "
+                                      "for a map and its connection",
+}
 
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -25,8 +49,8 @@ def names_read(node) -> Counter:
     return found
 
 
-def private_definitions(tree):
-    """(name, node) of each module-level definition whose name starts with _."""
+def definitions(tree):
+    """(name, node) of each module-level definition."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -36,8 +60,21 @@ def private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node
+            yield name, node
+
+
+def private_definitions(tree):
+    """(name, node) of each module-level definition whose name starts with _."""
+    return [(name, node) for name, node in definitions(tree)
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def public_definitions(tree):
+    """(name, node) of each entry of the module's __all__."""
+    defined = dict(definitions(tree))
+    if "__all__" not in defined:
+        return []
+    return [(entry.value, defined[entry.value]) for entry in defined["__all__"].value.elts]
 
 
 def methods(tree):
@@ -47,6 +84,14 @@ def methods(tree):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
                     yield f"{node.name}.{item.name}", item.name
+
+
+def reads_in(roots) -> Counter:
+    found = Counter()
+    for root in roots:
+        for path in sorted((ROOT / root).rglob("*.py")):
+            found += names_read(ast.parse(path.read_text()))
+    return found
 
 
 def attributes_read(roots) -> set:
@@ -71,3 +116,11 @@ def test_methods_are_used(module):
     used = attributes_read(USERS)
     unused = [qualified for qualified, name in methods(MODULES[module]) if name not in used]
     assert not unused
+
+
+def test_public_names_are_read():
+    reads = reads_in(READERS)
+    unread = [f"{module}.{name}" for module, tree in sorted(MODULES.items())
+              for name, node in public_definitions(tree)
+              if reads[name] <= names_read(node)[name]]
+    assert sorted(unread) == sorted(ORACLES)

@@ -97,17 +97,21 @@ class TestRotationDistance:
 
 
 class TestGaugeEnergy:
+    """The energy extract_xi reports for a rotation, and GaugePair's refusal
+    of a rotation that is not orthogonal."""
+
     def test_identity_rotation_returns_l2_squared(self, rng):
         grid = Grid(3, 8)
         omega = synth.synthetic_connection(grid, 3, rng, kmax=2)
         p = identity_rotation(grid, 3)
-        assert gauge.gauge_energy(p, omega) == pytest.approx(
+        assert gauge.extract_xi(p, omega).diagnostics.energy == pytest.approx(
             forms.l2_norm(omega) ** 2, rel=1e-12)
 
     def test_zero_connection(self):
         grid = Grid(2, 8)
         omega = MatrixForm.zeros(grid, 1, 2)
-        assert gauge.gauge_energy(identity_rotation(grid, 2), omega) == 0.0
+        pair = gauge.extract_xi(identity_rotation(grid, 2), omega)
+        assert pair.diagnostics.energy == 0.0
 
     def test_constant_rotation_invariance(self, rng):
         grid = Grid(3, 8)
@@ -115,15 +119,16 @@ class TestGaugeEnergy:
         r = gauge.so_exp(random_skew(np.random.default_rng(1), (), 3))
         const = MatrixForm(grid, 0, np.broadcast_to(
             r, grid.shape + (3, 3)).copy()[None])
-        base = gauge.gauge_energy(identity_rotation(grid, 3), omega)
-        assert gauge.gauge_energy(const, omega) == pytest.approx(base, rel=1e-10)
+        base = gauge.extract_xi(identity_rotation(grid, 3), omega).diagnostics.energy
+        energy = gauge.extract_xi(const, omega).diagnostics.energy
+        assert energy == pytest.approx(base, rel=1e-10)
 
     def test_rejects_non_orthogonal(self, rng):
         grid = Grid(2, 8)
         omega = synth.synthetic_connection(grid, 2, rng, kmax=2)
         bad = MatrixForm(grid, 0, np.full((1,) + grid.shape + (2, 2), 0.5))
         with pytest.raises(ValueError, match="orthogonal"):
-            gauge.gauge_energy(bad, omega)
+            gauge.extract_xi(bad, omega)
 
 
 def broadcast_gauged_connection(pointwise, omega: MatrixForm) -> np.ndarray:

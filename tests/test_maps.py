@@ -10,8 +10,8 @@ from gaugeflow.forms import Grid
 
 def test_constant_map_is_unit_and_flat():
     grid = Grid(3, 8)
-    u = maps.constant_map(grid, 3, axis=1)
-    assert u.values[..., 1].min() == 1.0
+    u = maps.constant_map(grid, 3)
+    assert u.values[..., 0].min() == 1.0
     assert maps.dirichlet_energy(u) == 0.0
     assert maps.tension_residual(u) <= 1e-14
 
@@ -79,21 +79,15 @@ class TestGeodesicMap:
         expected = 0.5 * (2 * np.pi) ** 2 * 5.0
         assert maps.dirichlet_energy(u) == pytest.approx(expected, rel=1e-12)
 
-    def test_target_axes(self):
-        grid = Grid(2, 8)
-        u = maps.geodesic_map(grid, 3, (1, 0), axes=(2, 0))
-        assert np.abs(u.values[..., 1]).max() == 0.0
-
-    @pytest.mark.parametrize("wave, m, axes", [
-        ((0, 0), 2, (0, 1)),      # zero wave
-        ((5, 5), 2, (0, 1)),      # unresolved at res=8
-        ((1, 0), 2, (0, 0)),      # repeated axis
-        ((1, 0), 1, (0, 1)),      # target too small
-        ((1, 0, 0), 2, (0, 1)),   # wrong dimension
+    @pytest.mark.parametrize("wave, m", [
+        ((0, 0), 2),      # zero wave
+        ((5, 5), 2),      # unresolved at res=8
+        ((1, 0), 1),      # target too small
+        ((1, 0, 0), 2),   # wrong dimension
     ])
-    def test_rejects_bad_parameters(self, wave, m, axes):
+    def test_rejects_bad_parameters(self, wave, m):
         with pytest.raises(ValueError):
-            maps.geodesic_map(Grid(2, 8), m, wave, axes=axes)
+            maps.geodesic_map(Grid(2, 8), m, wave)
 
 
 class TestPerturbedMap:
@@ -156,7 +150,7 @@ class TestHeatFlow:
         assert (diffs <= 1e-12 * np.abs(energies[0])).all()
 
     def test_constant_map_is_a_fixed_point_bitwise(self):
-        u = maps.constant_map(Grid(3, 16), 3, axis=2)
+        u = maps.constant_map(Grid(3, 16), 3)
         assert np.array_equal(maps.heat_flow_relax(u, steps=1).values, u.values)
 
     def test_rejects_unstable_step(self):

@@ -26,6 +26,20 @@ def run_on(built_omega):
     return P, A.coeffs, B.coeffs, report, ctx.gauge_diagnostics, ctx.residual_report()
 
 
+def assert_carried(base, moved, carry):
+    """moved is base's run with every field carried by `carry`: the same
+    iteration counts, and the same residual and verdict."""
+    for want, got in zip(base[:3], moved[:3]):
+        np.testing.assert_allclose(got, carry(want), rtol=0, atol=1e-12)
+    report, diagnostics, verdict = base[3:]
+    moved_report, moved_diagnostics, moved_verdict = moved[3:]
+    assert diagnostics.iterations == moved_diagnostics.iterations > 1
+    assert report.iterations == moved_report.iterations > 1
+    np.testing.assert_allclose(moved_report.residual_l2, report.residual_l2, rtol=1e-12)
+    np.testing.assert_allclose(moved_verdict.l2, verdict.l2, rtol=1e-12)
+    np.testing.assert_allclose(moved_verdict.budget, verdict.budget, rtol=1e-12)
+
+
 class TestTranslation:
     def test_rolling_the_torus_rolls_the_pair(self):
         # translating the torus by 3 cells along x0 commutes with every
@@ -33,13 +47,19 @@ class TestTranslation:
         # descent and the Picard loop take the same steps
         omega = mixed_context().built_omega
         rolled = omega._like(np.roll(omega.coeffs, 3, axis=1))
-        base, moved = run_on(omega), run_on(rolled)
-        for want, got in zip(base[:3], moved[:3]):
-            np.testing.assert_allclose(got, np.roll(want, 3, axis=1), rtol=0, atol=1e-12)
-        report, diagnostics, verdict = base[3:]
-        moved_report, moved_diagnostics, moved_verdict = moved[3:]
-        assert diagnostics.iterations == moved_diagnostics.iterations > 1
-        assert report.iterations == moved_report.iterations > 1
-        np.testing.assert_allclose(moved_report.residual_l2, report.residual_l2, rtol=1e-12)
-        np.testing.assert_allclose(moved_verdict.l2, verdict.l2, rtol=1e-12)
-        np.testing.assert_allclose(moved_verdict.budget, verdict.budget, rtol=1e-12)
+        assert_carried(run_on(omega), run_on(rolled),
+                       lambda field: np.roll(field, 3, axis=1))
+
+
+class TestConjugation:
+    def test_conjugating_the_connection_conjugates_the_pair(self):
+        # Omega -> Q Omega Q^T for a constant rotation Q takes the Coulomb
+        # gauge P to Q P Q^T and the pair (A, B) to (Q A Q^T, Q B Q^T); a
+        # signed permutation moves and negates entries exactly, so the
+        # conjugated connection is still exactly antisymmetric
+        Q = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+        assert np.linalg.det(Q) == 1.0
+        omega = mixed_context().built_omega
+        conjugated = omega._like(Q @ omega.coeffs @ Q.T)
+        assert conjugated.antisymmetry_defect() == 0.0
+        assert_carried(run_on(omega), run_on(conjugated), lambda field: Q @ field @ Q.T)

@@ -107,7 +107,7 @@ class TestStateNorm:
     @given(scale=st.floats(min_value=0.01, max_value=100.0))
     def test_homogeneity(self, scale):
         grid = Grid(3, 8)
-        state = solver.random_state(grid, 2, np.random.default_rng(9), kmax=2)
+        state = solver.random_state(grid, 2, np.random.default_rng(9))
         assert solver.state_norm(scale * state.a, scale * state.b).total == pytest.approx(
             scale * solver.state_norm(state.a, state.b).total, rel=1e-9)
 
@@ -172,9 +172,9 @@ class TestPairState:
             PairState(MatrixForm.zeros(grid, 0, 3), b)
 
     def test_random_state_normalized_and_deterministic(self, grid):
-        s1 = solver.random_state(grid, 3, np.random.default_rng(7), total=0.25)
-        s2 = solver.random_state(grid, 3, np.random.default_rng(7), total=0.25)
-        assert solver.state_norm(s1.a, s1.b).total == pytest.approx(0.25, rel=1e-12)
+        s1 = solver.random_state(grid, 3, np.random.default_rng(7))
+        s2 = solver.random_state(grid, 3, np.random.default_rng(7))
+        assert solver.state_norm(s1.a, s1.b).total == pytest.approx(1.0, rel=1e-12)
         assert np.array_equal(s1.a.coeffs, s2.a.coeffs)
         assert np.array_equal(s1.b.coeffs, s2.b.coeffs)
 

@@ -82,34 +82,21 @@ class TestConservationResidual:
             verify.conservation_residual(
                 eye, MatrixForm.zeros(grid, 2, 3), maps.constant_map(grid, 2))
 
-    def test_residual_operator_exact_on_closed_currents(self, grid):
+    def test_residual_operator_exact_on_closed_currents(self, grid, random_vector_form):
         # The certificate differentiates the current spectrally; anything
         # already exact is annihilated to rounding.
-        w = synth.random_vector_form(grid, grid.n - 2, 3, np.random.default_rng(8), 2)
+        w = random_vector_form(grid, grid.n - 2, 3, np.random.default_rng(8), 2)
         closed = forms.exterior_derivative(w)
         dust = forms.l2_norm(forms.exterior_derivative(closed))
         assert dust <= 1e-10 * max(1.0, forms.l2_norm(closed))
 
-    def test_interior_components(self, grid):
-        # The measurement alone: interior norms, and no budget.
-        u = maps.geodesic_map(grid, 3, (1, 0, 0))
-        report = verify.conservation_residual(
-            identity_matrix_form(grid, 3), MatrixForm.zeros(grid, 2, 3), u,
-            interior=0.25)
-        assert [name for name, _ in report.components] == ["interior_l2",
-                                                           "interior_sup"]
-        assert report.budget == 0.0
-        inner = dict(report.components)["interior_l2"]
-        assert 0.0 < inner <= report.l2 + 1e-12
-
     def test_judge_sums_the_budget_and_refuses_above_twice_it(self):
         parts = (("tension", 0.5), ("tolerance", 1e-8))
         budget = 0.5 + 1e-8
-        own = (("interior_l2", 0.25),)
-        at_bound = verify.ResidualReport(l2=2.0 * budget, sup=1.0, components=own)
+        at_bound = verify.ResidualReport(l2=2.0 * budget, sup=1.0)
         judged = verify.judge(at_bound, parts)
         assert judged.budget == budget
-        assert judged.components == parts + own
+        assert judged.components == parts
         assert (judged.l2, judged.sup) == (at_bound.l2, at_bound.sup)
         above = dataclasses.replace(at_bound, l2=np.nextafter(2.0 * budget, np.inf))
         with pytest.raises(ValueError, match="exceeds the defect budget"):
@@ -118,13 +105,6 @@ class TestConservationResidual:
     def test_negative_budget_component_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             verify.ResidualReport(l2=0.0, sup=0.0, components=(("bad", -1.0),))
-
-    def test_interior_margin_validated(self, grid):
-        u = maps.constant_map(grid, 3)
-        with pytest.raises(ValueError, match="interior margin"):
-            verify.conservation_residual(
-                identity_matrix_form(grid, 3), MatrixForm.zeros(grid, 2, 3), u,
-                interior=0.7)
 
     @pytest.fixture(scope="class")
     def band_limited(self, grid):
