@@ -24,8 +24,9 @@ from gaugeflow.forms import Grid
 
 
 def sweep_point(grid: Grid, m: int, eps: float, seed: int, samples: int) -> dict:
-    omega = synth.synthetic_connection(
-        grid, m, np.random.default_rng(seed), kmax=2, target_norm=eps)
+    # converted once: the gauge and the solve read the same Connection
+    omega = synth.Connection.of(synth.synthetic_connection(
+        grid, m, np.random.default_rng(seed), kmax=2, target_norm=eps))
     pmap = solver.PicardMap.of(gauge.minimize_gauge(omega))
     kappa = solver.measure_contraction(
         pmap, np.random.default_rng(seed + 1), samples=samples)

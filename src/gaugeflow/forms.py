@@ -257,13 +257,6 @@ class MatrixForm(_Form):
 
     _value_ndim = 2
 
-    @classmethod
-    def identity(cls, grid: Grid, m: int) -> "MatrixForm":
-        """The identity-matrix 0-form."""
-        coeffs = np.zeros((1,) + grid.shape + (m, m))
-        coeffs[..., range(m), range(m)] = 1.0
-        return cls(grid, 0, coeffs)
-
     def antisymmetry_defect(self) -> float:
         """Largest pointwise entry of coeffs + coeffs^T.
 
@@ -303,7 +296,8 @@ class SkewForm:
 
     `upper` has shape (C(n,k), res, ..., res, m(m-1)/2), the entries of each
     point's matrix above the diagonal in row-major order.  Only `of` builds
-    one, from a MatrixForm of antisymmetry defect exactly 0.0.  Readers
+    one, from a MatrixForm of antisymmetry defect exactly 0.0, and records
+    the defect it measured in `defect`: 0.0, or nan on a NaN entry.  Readers
     expand one component at a time into a reused buffer: the kept entries
     above the diagonal, their negatives below it and +0.0 on it, so every
     nonzero entry is bitwise the original and every zero is +0.0.
@@ -314,6 +308,7 @@ class SkewForm:
     k: int
     m: int
     upper: np.ndarray
+    defect: float
 
     def __post_init__(self):
         shape = (len(components(self.grid.n, self.k)),) + self.grid.shape
@@ -323,10 +318,8 @@ class SkewForm:
 
     @classmethod
     def of(cls, form, **fields) -> "SkewForm":
-        """The form as so(m) channels; a SkewForm comes back as it is.
-        `fields` are a subclass's own fields."""
-        if isinstance(form, SkewForm):
-            return form
+        """The MatrixForm as so(m) channels.  `fields` are a subclass's own
+        fields."""
         if not isinstance(form, MatrixForm):
             raise ValueError("so(m) channels need matrix values")
         defect = form.antisymmetry_defect()
@@ -334,7 +327,7 @@ class SkewForm:
             raise ValueError(f"form is not exactly antisymmetric: defect {defect:.3e}")
         m = form.m
         rows, cols = np.triu_indices(m, 1)
-        return cls(form.grid, form.k, m, form.coeffs[..., rows, cols], **fields)
+        return cls(form.grid, form.k, m, form.coeffs[..., rows, cols], defect, **fields)
 
     @property
     def shape(self) -> tuple:

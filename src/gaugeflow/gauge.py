@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forms
+from . import forms, synth
 from .forms import Grid, MatrixForm, SkewForm
 
 __all__ = [
@@ -152,7 +152,7 @@ def _energy(gauged: np.ndarray, grid: Grid) -> float:
     return forms._sum_products(gauged, gauged) * grid.cell
 
 
-def minimize_gauge(omega: MatrixForm | SkewForm, tol: float | None = None,
+def minimize_gauge(omega: MatrixForm | synth.Connection, tol: float | None = None,
                    max_iter: int = 5000, preconditioned: bool = True) -> GaugePair:
     """The Coulomb gauge pair of omega: descend to the rotation, then extract xi.
 
@@ -165,17 +165,15 @@ def minimize_gauge(omega: MatrixForm | SkewForm, tol: float | None = None,
     omega = 0 converges immediately.  The final gauged connection, energy
     and criticality complete the pair as extract_xi would, so the final
     rotation is gauged and checked once.  omega, exactly antisymmetric, is
-    read as so(m) channels; its sizes are taken on the full form.
+    read as a synth.Connection, whose L2 size and sup it carries.
     """
     if omega.k != 1:
         raise ValueError("connection must be a 1-form")
     grid = omega.grid
-    omega = SkewForm.of(omega)
-    full = omega.expanded()
+    omega = synth.Connection.of(omega)
     if tol is None:
-        tol = 1e-6 * forms.l2_norm(full)
-    tau = 0.1 / (1.0 + forms.sup_norm(full))
-    del full
+        tol = 1e-6 * omega.l2
+    tau = 0.1 / (1.0 + omega.sup)
     pointwise = np.broadcast_to(np.eye(omega.m), grid.shape + (omega.m, omega.m)).copy()
     trace = []
     # The accepted trial's gauged connection and energy carry over, so each
@@ -224,7 +222,7 @@ def minimize_gauge(omega: MatrixForm | SkewForm, tol: float | None = None,
     raise AssertionError("unreachable")
 
 
-def extract_xi(P: MatrixForm, omega: MatrixForm | SkewForm,
+def extract_xi(P: MatrixForm, omega: MatrixForm | synth.Connection,
                iterations: int = 0) -> GaugePair:
     """Complete a gauge pair: represent the gauged connection as d*(xi).
 
@@ -233,7 +231,7 @@ def extract_xi(P: MatrixForm, omega: MatrixForm | SkewForm,
     total representation residual are reported in the diagnostics.
     """
     grid = omega.grid
-    omega = SkewForm.of(omega)
+    omega = synth.Connection.of(omega)
     gauged = _gauged_connection(P.coeffs[0], omega)
     criticality = forms.l2_norm(forms.codifferential(MatrixForm(grid, 1, gauged)))
     return _complete(P, omega, gauged, _energy(gauged, grid), criticality, iterations)

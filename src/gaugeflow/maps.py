@@ -43,7 +43,7 @@ class MapField:
             raise ValueError(f"map values have shape {arr.shape}, expected {self.grid.shape} + (m,)")
         if self.unit_sphere:
             defect = np.abs(forms._pointwise_sq(arr, 0, self.grid.n) - 1.0).max()
-            if defect > 1e-12:
+            if not defect <= 1e-12:  # a NaN entry fails too
                 raise ValueError(f"map leaves the unit sphere by {defect:.3e}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)

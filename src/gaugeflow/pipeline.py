@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import connection, fieldio, forms, gauge, maps, solver, synth, verify
+from . import connection, fieldio, gauge, maps, solver, synth, verify
 from .config import RunConfig, config_hash
 from .forms import Grid, MatrixForm
 
@@ -61,8 +61,8 @@ def _build_omega(cfg: RunConfig, res: int, u) -> MatrixForm:
 class _Context:
     """Lazily computed stage products for one configuration and resolution.
 
-    Omega is kept as so(m) channels with its L^{n,2} size (synth.Connection);
-    the full form it is built as goes as soon as the channels are taken.
+    Omega is kept as so(m) channels with its sizes (synth.Connection); the
+    full form it is built as goes as soon as the channels are taken.
     The gauge pair is the one product that is not kept: the solve takes the
     context's only reference to it, so P and xi are freed before the first
     Picard step, and only the gauge diagnostics stay.
@@ -180,11 +180,11 @@ def _stage_generate(ctx: _Context, out: Path) -> list:
 
 
 def _stage_omega(ctx: _Context, out: Path) -> list:
-    built = ctx.built_omega  # taken before the channels, which drop it
-    written = [*fieldio.write_field(out / "omega.f64", built)]
-    body = {"l2": forms.l2_norm(built), "sup": forms.sup_norm(built),
-            "lorentz_n2": ctx.omega.n2,
-            "antisymmetry_defect": built.antisymmetry_defect()}
+    # written as built, before the channels drop the full form
+    written = [*fieldio.write_field(out / "omega.f64", ctx.built_omega)]
+    omega = ctx.omega
+    body = {"l2": omega.l2, "sup": omega.sup, "lorentz_n2": omega.n2,
+            "antisymmetry_defect": omega.defect}
     return written + [_write_json(out / "omega.json", _doc(ctx.cfg, "omega", body))]
 
 
@@ -221,7 +221,7 @@ def _verify_rows(ctx: _Context, residual, bounds) -> list:
             ("coordinate_gap", residual.coordinate_gap)]
     rows += [(f"budget_{name}", value) for name, value in residual.components]
     if ctx.map is not None:
-        sphere = verify.sphere_divergence_residual(ctx.map, ctx.omega.expanded())
+        sphere = verify.sphere_divergence_residual(ctx.omega.expanded())
         rows += [("sphere_divergence_l2", sphere.l2),
                  ("sphere_divergence_sup", sphere.sup)]
     rows += [("rotation_distance_sup", bounds.rotation_distance_sup),

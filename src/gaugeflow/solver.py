@@ -285,11 +285,11 @@ def _solve_source(grid: Grid, k: int, coeffs: np.ndarray, label: str) -> np.ndar
     return forms._solve_poisson_in_place(coeffs, grid.n, grid.res)
 
 
-def pair_residual(A: MatrixForm, B: MatrixForm, omega: MatrixForm | SkewForm):
+def pair_residual(A: MatrixForm, B: MatrixForm, omega: MatrixForm | synth.Connection):
     """L2 and sup norms of dA - A Omega + d*B."""
     if A.k != 0 or B.k != 2 or omega.k != 1:
         raise ValueError("need a 0-form, a 2-form and a 1-form connection")
-    return _residual_norms(forms.exterior_derivative(A), A, B, SkewForm.of(omega))
+    return _residual_norms(forms.exterior_derivative(A), A, B, synth.Connection.of(omega))
 
 
 def _residual_norms(dA: MatrixForm, A: MatrixForm, B: MatrixForm, omega: SkewForm):

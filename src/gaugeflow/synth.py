@@ -146,13 +146,19 @@ def lorentz_norm_of_connection(omega: MatrixForm) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Connection(forms.SkewForm):
-    """A connection 1-form as so(m) channels, with its L^{n,2} size `n2`.
+    """A connection 1-form as so(m) channels, with its sizes: L^{n,2} `n2`,
+    L2 `l2` and sup `sup`.
 
-    The size is taken once, on the full form `of` converts; omega.json, the
-    solver's regime guard and its report all read this one number.
+    `of` is the one conversion of a connection: it takes the antisymmetry
+    defect and each size once, on the full form it converts.  omega.json,
+    the gauge's tolerance and first step, the solver's regime guard and its
+    report all read these numbers; no reader rebuilds the full form to
+    measure it again.
     """
 
     n2: float
+    l2: float
+    sup: float
 
     @classmethod
     def of(cls, omega) -> "Connection":
@@ -162,4 +168,5 @@ class Connection(forms.SkewForm):
             return omega
         if not isinstance(omega, MatrixForm):
             raise ValueError("a connection is built from a MatrixForm")
-        return super().of(omega, n2=lorentz_norm_of_connection(omega))
+        return super().of(omega, n2=lorentz_norm_of_connection(omega),
+                          l2=forms.l2_norm(omega), sup=forms.sup_norm(omega))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import connection, forms, gauge, lorentz, solver, synth
+from . import forms, gauge, lorentz, solver, synth
 from .forms import MatrixForm, VectorForm
 from .maps import MapField, map_gradient
 
@@ -153,18 +153,16 @@ def judge(measured: ResidualReport, budget_components: tuple) -> ResidualReport:
                                components=tuple(budget_components))
 
 
-def sphere_divergence_residual(u: MapField,
-                               omega: MatrixForm | None = None) -> ResidualReport:
+def sphere_divergence_residual(omega: MatrixForm) -> ResidualReport:
     """Divergence defect of the antisymmetric sphere currents u^i du^j - u^j du^i.
 
     The matrix holding all m(m-1)/2 currents (and their negates) is exactly
-    the sphere connection, so the certificate is its coclosedness defect;
-    the Frobenius aggregation counts both orientations of each pair, so the
-    norms are rescaled to count every unordered pair once.  A caller that
-    already holds connection.omega_sphere(u) passes it as omega.
+    the sphere connection omega = connection.omega_sphere(u), so the
+    certificate is its coclosedness defect; the Frobenius aggregation counts
+    both orientations of each pair, so the norms are rescaled to count every
+    unordered pair once.
     """
-    current = connection.omega_sphere(u) if omega is None else omega
-    residual = forms.codifferential(current)
+    residual = forms.codifferential(omega)
     pair_once = 1.0 / np.sqrt(2.0)
     return ResidualReport(
         l2=pair_once * forms.l2_norm(residual),

@@ -300,6 +300,31 @@ class TestCommands:
         doc = json.loads((tmp_path / "omega.json").read_text())
         assert doc["lorentz_n2"] == ctx.omega.n2
 
+    @pytest.mark.parametrize("name, expansions", [("synthetic_coexact.ini", 0),
+                                                  ("heatflow_study.ini", 1)])
+    def test_verify_measures_the_connection_once(self, name, expansions, tmp_path,
+                                                 monkeypatch):
+        # Connection.of checks the built Omega; the other two checks are on
+        # xi and d(star xi).  Only the sphere-divergence certificate expands
+        # the channels; no stage re-expands Omega to measure it.
+        defect, expanded = forms.MatrixForm.antisymmetry_defect, forms.SkewForm.expanded
+        checked, expansions_seen = [], []
+
+        def counted_defect(form):
+            checked.append(form.k)
+            return defect(form)
+
+        def counted_expanded(skew):
+            expansions_seen.append(skew.k)
+            return expanded(skew)
+
+        monkeypatch.setattr(forms.MatrixForm, "antisymmetry_defect", counted_defect)
+        monkeypatch.setattr(forms.SkewForm, "expanded", counted_expanded)
+        assert cli.main(["verify", "--config", str(SHIPPED_SYNTHETIC.parent / name),
+                         "--set", "grid.res=16", "--out", str(tmp_path / "run")]) == 0
+        assert checked == [1, 2, 2]
+        assert expansions_seen == [1] * expansions
+
     def test_gauge_fields_are_released_before_the_picard_loop(
             self, synthetic_ini, tmp_path, monkeypatch):
         # The gauge stage writes P and xi; then the solve takes the context's

@@ -41,6 +41,11 @@ def scalar_form(grid, k, comp_values):
     return MatrixForm(grid, k, coeffs)
 
 
+def identity_form(grid, m):
+    """The identity-matrix 0-form."""
+    return MatrixForm(grid, 0, np.broadcast_to(np.eye(m), (1,) + grid.shape + (m, m)).copy())
+
+
 class TestGrid:
     def test_basic_properties(self):
         g = Grid(3, 16)
@@ -74,7 +79,7 @@ class TestConstruction:
 
     def test_identity_and_zeros(self):
         g = Grid(2, 8)
-        e = MatrixForm.identity(g, 3)
+        e = identity_form(g, 3)
         assert e.k == 0 and e.m == 3
         assert np.array_equal(e.coeffs[0, 0, 0], np.eye(3))
         assert l2_norm(VectorForm.zeros(g, 1, 2)) == 0.0
@@ -225,7 +230,7 @@ class TestWedge:
     def test_identity_acts_trivially_on_vectors(self, rng, random_vector_form):
         g = Grid(3, 8)
         v = random_vector_form(g, 1, 3, rng, kmax=2)
-        out = wedge(MatrixForm.identity(g, 3), v)
+        out = wedge(identity_form(g, 3), v)
         assert np.allclose(out.coeffs, v.coeffs, atol=1e-14)
 
     def test_constant_rotation_commutes_with_d(self, rng, random_vector_form):
@@ -384,6 +389,7 @@ class TestSkewForm:
         for k in range(n + 1):
             form = synth.random_matrix_form(grid, k, m, rng, kmax=2, antisymmetric=True)
             skew = SkewForm.of(form)
+            assert skew.defect == 0.0
             assert skew.upper.shape == form.coeffs.shape[:-2] + (m * (m - 1) // 2,)
             assert skew.shape == form.coeffs.shape
             assert np.array_equal(_bits(skew.expanded().coeffs), _bits(form.coeffs))
@@ -410,15 +416,23 @@ class TestSkewForm:
         with pytest.raises(ValueError, match="not exactly antisymmetric"):
             SkewForm.of(MatrixForm(form.grid, 1, coeffs))
         with pytest.raises(ValueError, match="not exactly antisymmetric"):
-            SkewForm.of(MatrixForm.identity(form.grid, 3))
+            SkewForm.of(identity_form(form.grid, 3))
         with pytest.raises(ValueError, match="matrix values"):
             SkewForm.of(VectorForm.zeros(form.grid, 1, 3))
 
-    def test_a_skew_form_is_kept(self, rng):
+    def test_a_skew_form_is_refused(self, rng):
+        # only a MatrixForm is converted; a Connection keeps its own `of`
         skew = SkewForm.of(synth.random_matrix_form(Grid(2, 8), 1, 3, rng, kmax=2,
                                                     antisymmetric=True))
-        assert SkewForm.of(skew) is skew
+        with pytest.raises(ValueError, match="matrix values"):
+            SkewForm.of(skew)
         assert not skew.upper.flags.writeable
+
+    def test_a_nan_entry_is_recorded(self, rng):
+        form = synth.random_matrix_form(Grid(3, 8), 1, 3, rng, kmax=2, antisymmetric=True)
+        coeffs = form.coeffs.copy()
+        coeffs[1, 2, 3, 4, 0, 1] = np.nan
+        assert np.isnan(SkewForm.of(MatrixForm(form.grid, 1, coeffs)).defect)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_wedge_reads_the_expansion(self, n):
@@ -872,7 +886,7 @@ class TestTransformCount:
         pair = gauge.minimize_gauge(omega, tol=1e-5)
         A, B, _ = solver.solve_pair(omega, solver.PicardMap.of(pair), tol=1e-8)
         verify.conservation_residual(A, B, u)
-        verify.sphere_divergence_residual(u)
+        verify.sphere_divergence_residual(connection.omega_sphere(u))
         verify.bound_ratios(A, B, omega)
         maps.tension_residual(u)
         # synth draws the noise and the uniqueness probe with a complex inverse

@@ -191,6 +191,16 @@ class TestCorruption:
         with pytest.raises(ValueError, match="corrupt field: a map is a 0-form"):
             fieldio.read_field(path)
 
+    def test_nan_map_refused_on_read(self, tmp_path, grid):
+        # the payload's checksum matches; the sphere check itself refuses it
+        values = maps.constant_map(grid, 3).values.copy()
+        values[1, 2, 3, 0] = np.nan
+        path = tmp_path / "nan.f64"
+        fieldio.write_field(path, maps.MapField(grid, values, unit_sphere=False))
+        rewrite_header(path, unit_sphere=True)
+        with pytest.raises(ValueError, match="unit sphere by nan"):
+            fieldio.read_field(path)
+
     def test_sphere_flag_enforced_on_read(self, tmp_path, grid):
         values = np.full(grid.shape + (2,), 0.5)
         u = maps.MapField(grid, values, unit_sphere=False)

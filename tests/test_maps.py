@@ -54,6 +54,13 @@ def test_renormalize_refuses_values_near_zero(norm, fires):
         assert np.array_equal(u.values[2, 5], [0.0, 1.0, 0.0])
 
 
+def test_map_field_refuses_a_nan_entry():
+    values = maps.constant_map(Grid(2, 8), 3).values.copy()
+    values[3, 4, 1] = np.nan
+    with pytest.raises(ValueError, match="leaves the unit sphere by nan"):
+        maps.MapField(Grid(2, 8), values)
+
+
 def test_map_field_rejects_bad_shape():
     grid = Grid(2, 8)
     with pytest.raises(ValueError, match="shape"):

@@ -63,3 +63,48 @@ class TestConjugation:
         conjugated = omega._like(Q @ omega.coeffs @ Q.T)
         assert conjugated.antisymmetry_defect() == 0.0
         assert_carried(run_on(omega), run_on(conjugated), lambda field: Q @ field @ Q.T)
+
+
+def reflect_x0(field):
+    """field with grid index j taken to -j mod res along x0."""
+    res = field.shape[1]
+    return np.take(field, -np.arange(res) % res, axis=1)
+
+
+def swap_x0_x1(field):
+    return np.ascontiguousarray(np.swapaxes(field, 1, 2))
+
+
+class TestReflection:
+    def test_reflecting_x0_reflects_the_pair(self):
+        # x0 -> -x0 moves every field and negates each component with a
+        # dx0: the connection's dx0, and B's dx0^dx1 and dx0^dx2.  P and A
+        # are 0-forms; B is the one carried field with three components.
+        omega = mixed_context().built_omega
+        reflected = reflect_x0(omega.coeffs)
+        reflected[0] *= -1.0
+
+        def carry(field):
+            out = reflect_x0(field)
+            if len(field) == 3:
+                out[:2] *= -1.0
+            return out
+
+        assert_carried(run_on(omega), run_on(omega._like(reflected)), carry)
+
+
+class TestAxisSwap:
+    def test_swapping_x0_and_x1_swaps_the_pair(self):
+        # x0 <-> x1 exchanges the connection's dx0 and dx1; on B it negates
+        # dx0^dx1 and exchanges dx0^dx2 and dx1^dx2
+        omega = mixed_context().built_omega
+        swapped = swap_x0_x1(omega.coeffs)[[1, 0, 2]]
+
+        def carry(field):
+            out = swap_x0_x1(field)
+            if len(field) == 3:
+                out = out[[0, 2, 1]]
+                out[0] *= -1.0
+            return out
+
+        assert_carried(run_on(omega), run_on(omega._like(swapped)), carry)

@@ -410,6 +410,9 @@ class TestSolvePair:
         omega, pair = coexact_setup
         connection = synth.Connection.of(omega)
         assert connection.n2 == lorentz.lorentz_norm(omega, 3.0, 2.0)
+        assert connection.l2 == forms.l2_norm(omega)
+        assert connection.sup == forms.sup_norm(omega)
+        assert connection.defect == 0.0
         assert synth.Connection.of(connection) is connection
         pmap = solver.PicardMap.of(pair)
         calls = []
@@ -496,6 +499,8 @@ class TestSolvePair:
         # last iterate norm's: one gradient per block and one sup per state
         # norm and no more, beside the pair residual's one sup.
         omega, pair = mixed_setup
+        # converted before counting: the conversion's own sup is not the solve's
+        omega = synth.Connection.of(omega)
         d, grad, sup = forms.exterior_derivative, solver._gradient_size, forms.sup_norm
         zero_forms, gradients, sups = [], [], []
 

@@ -178,10 +178,12 @@ class TestConservationResidual:
 
 class TestSphereDivergenceResidual:
     def test_constant_map_zero(self, grid):
-        assert verify.sphere_divergence_residual(maps.constant_map(grid, 3)).l2 == 0.0
+        u = maps.constant_map(grid, 3)
+        assert verify.sphere_divergence_residual(connection.omega_sphere(u)).l2 == 0.0
 
     def test_geodesic_constant_current(self, grid):
-        report = verify.sphere_divergence_residual(maps.geodesic_map(grid, 3, (1, 0, 0)))
+        u = maps.geodesic_map(grid, 3, (1, 0, 0))
+        report = verify.sphere_divergence_residual(connection.omega_sphere(u))
         assert report.l2 <= 1e-8
 
     def test_matches_tension_for_resolved_maps(self):
@@ -189,7 +191,7 @@ class TestSphereDivergenceResidual:
         # tension is orthogonal to u, so the norms agree.
         u = maps.perturbed_map(
             maps.geodesic_map(Grid(3, 32), 3, (1, 0, 0)), 0.05, seed=3, kmax=1)
-        report = verify.sphere_divergence_residual(u)
+        report = verify.sphere_divergence_residual(connection.omega_sphere(u))
         assert report.l2 == pytest.approx(maps.tension_residual(u), rel=1e-10)
         assert report.l2 > 1.0
 
@@ -197,7 +199,8 @@ class TestSphereDivergenceResidual:
         u0 = maps.perturbed_map(
             maps.geodesic_map(Grid(3, 32), 3, (1, 0, 0)), 0.05, seed=3, kmax=1)
         u1 = maps.heat_flow_relax(u0, steps=20)
-        r0, r1 = (verify.sphere_divergence_residual(v).l2 for v in (u0, u1))
+        r0, r1 = (verify.sphere_divergence_residual(connection.omega_sphere(v)).l2
+                  for v in (u0, u1))
         t0, t1 = maps.tension_residual(u0), maps.tension_residual(u1)
         assert r1 < 0.6 * r0
         assert r1 / r0 == pytest.approx(t1 / t0, rel=1e-6)
@@ -282,8 +285,8 @@ class TestConvergenceStudy:
 
     def test_geodesic_sphere_ladder_sits_at_floor(self):
         def evaluate(res):
-            return verify.sphere_divergence_residual(
-                maps.geodesic_map(Grid(3, res), 3, (1, 0, 0)))
+            return verify.sphere_divergence_residual(connection.omega_sphere(
+                maps.geodesic_map(Grid(3, res), 3, (1, 0, 0))))
 
         report = verify.convergence_study(evaluate, [16, 32, 64])
         assert report.order == "floor"
