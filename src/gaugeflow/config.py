@@ -73,9 +73,11 @@ class RunConfig:
             raise ValueError(f"base map must be one of {BASES}, got {self.base!r}")
         if self.m < 2:
             raise ValueError(f"target dimension must be >= 2, got {self.m}")
-        for name in ("gauge_tol", "solver_tol", "flow_time", "regime_limit"):
-            if not getattr(self, name) > 0:  # NaN fails it too
-                raise ValueError(f"{name} must be positive")
+        for name in ("gauge_tol", "solver_tol", "flow_time"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails it too
+                raise ValueError(f"{name} must be positive and finite")
+        if not self.regime_limit > 0:  # inf lifts the guard; NaN fails
+            raise ValueError("regime_limit must be positive")
         for name in ("gauge_max_iter", "solver_max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")

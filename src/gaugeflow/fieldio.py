@@ -108,6 +108,8 @@ def read_field(path):
         _fail(f"bad geometry ({exc})")
     if kind == "map" and k != 0:
         _fail(f"a map is a 0-form, header declares degree {k}")
+    if kind == "map" and not isinstance(header.get("unit_sphere"), bool):
+        _fail(f"unit_sphere must be a JSON boolean, got {header.get('unit_sphere')!r}")
     order = [list(c) for c in forms.components(grid.n, k)]
     if header.get("component_order") != order:
         _fail("component order does not match the grid and degree")
@@ -132,4 +134,4 @@ def read_field(path):
         return MatrixForm(grid, k, arr)
     if kind == "vector-form":
         return VectorForm(grid, k, arr)
-    return MapField(grid, arr[0], unit_sphere=bool(header.get("unit_sphere", True)))
+    return MapField(grid, arr[0], unit_sphere=header["unit_sphere"])

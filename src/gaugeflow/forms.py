@@ -295,10 +295,10 @@ class SkewForm:
     """Degree-k so(m)-valued form, held as its strictly upper entries.
 
     `upper` has shape (C(n,k), res, ..., res, m(m-1)/2), the entries of each
-    point's matrix above the diagonal in row-major order.  Only `of` builds
-    one, from a MatrixForm of antisymmetry defect exactly 0.0, and records
-    the defect it measured in `defect`: 0.0, or nan on a NaN entry.  Readers
-    expand one component at a time into a reused buffer: the kept entries
+    point's matrix above the diagonal in row-major order.  `skew_part` takes
+    a MatrixForm's skew part, with `defect` 0.0 unmeasured; `of` takes only
+    one of antisymmetry defect exactly 0.0 and records the defect it
+    measured: 0.0, or nan on a NaN entry.  Readers expand one component at a time into a reused buffer: the kept entries
     above the diagonal, their negatives below it and +0.0 on it, so every
     nonzero entry is bitwise the original and every zero is +0.0.
     Measurements and the linear calculus run on the full form.
@@ -325,9 +325,19 @@ class SkewForm:
         defect = form.antisymmetry_defect()
         if defect > 0.0:  # a NaN entry is no defect: it reaches the readers
             raise ValueError(f"form is not exactly antisymmetric: defect {defect:.3e}")
-        m = form.m
-        rows, cols = np.triu_indices(m, 1)
-        return cls(form.grid, form.k, m, form.coeffs[..., rows, cols], defect, **fields)
+        return cls.skew_part(form, defect, **fields)
+
+    @classmethod
+    def skew_part(cls, form: MatrixForm, defect: float = 0.0, **fields) -> "SkewForm":
+        """The channels of (c - c^T) / 2, skew by construction: on an exactly
+        antisymmetric c each is c's own entry, up to the sign of a zero."""
+        rows, cols = np.triu_indices(form.m, 1)
+        # in place: a freed channel-size temporary moves glibc's mmap
+        # threshold, and with it the solve stage's peak RSS
+        upper = form.coeffs[..., rows, cols]
+        upper -= form.coeffs[..., cols, rows]
+        upper *= 0.5
+        return cls(form.grid, form.k, form.m, upper, defect, **fields)
 
     @property
     def shape(self) -> tuple:

@@ -53,10 +53,12 @@ class GaugeDiagnostics:
 
 @dataclass(frozen=True)
 class GaugePair:
-    """Rotation field P, potential xi, and run diagnostics."""
+    """Rotation field P, potential xi and d(star xi) as so(m) channels, and
+    run diagnostics.  The channels are skew by type: only P is checked."""
 
     P: MatrixForm
-    xi: MatrixForm
+    xi: SkewForm
+    d_star_xi: SkewForm
     diagnostics: GaugeDiagnostics
 
     def __post_init__(self):
@@ -65,8 +67,6 @@ class GaugePair:
             raise ValueError("rotation field is not orthogonal")
         if np.linalg.det(pointwise).min() <= 0:
             raise ValueError("rotation field has non-positive determinant")
-        if self.xi.antisymmetry_defect() > 1e-10:
-            raise ValueError("potential is not antisymmetric-valued")
 
 
 def so_exp(skew: np.ndarray) -> np.ndarray:
@@ -239,14 +239,17 @@ def extract_xi(P: MatrixForm, omega: MatrixForm | synth.Connection,
 
 def _complete(P: MatrixForm, omega: SkewForm, gauged: np.ndarray, energy: float,
               criticality: float, iterations: int) -> GaugePair:
-    """extract_xi from the gauged connection of P and its energy and criticality."""
+    """extract_xi from the gauged connection of P and its energy and criticality.
+
+    d(star xi) is taken once, on xi's expansion (matmuls on the channels
+    round differently), and d*(xi) = (-1)^(n+1) star d(star xi) read off it."""
     grid = omega.grid
     gauged = MatrixForm(grid, 1, gauged)
     harmonic = forms.l2_norm(forms.harmonic_part(gauged))
-    xi_raw = forms.exterior_derivative(forms.solve_poisson(gauged))
-    coeffs = 0.5 * (xi_raw.coeffs - np.swapaxes(xi_raw.coeffs, -1, -2))
-    xi = MatrixForm(grid, 2, coeffs)
-    representation = forms.l2_norm(forms.codifferential(xi) - gauged)
-    return GaugePair(P, xi, GaugeDiagnostics(
+    xi = SkewForm.skew_part(forms.exterior_derivative(forms.solve_poisson(gauged)))
+    d_star_xi = forms.exterior_derivative(forms.hodge_star(xi.expanded()))
+    sign = 1.0 if grid.n % 2 else -1.0
+    representation = forms.l2_norm(sign * forms.hodge_star(d_star_xi) - gauged)
+    return GaugePair(P, xi, SkewForm.of(d_star_xi), GaugeDiagnostics(
         energy, criticality, iterations, harmonic, representation))
 

@@ -191,7 +191,7 @@ def _stage_omega(ctx: _Context, out: Path) -> list:
 def _stage_gauge(ctx: _Context, out: Path) -> list:
     pair = ctx.pair
     written = [*fieldio.write_field(out / "rotation.f64", pair.P),
-               *fieldio.write_field(out / "potential.f64", pair.xi)]
+               *fieldio.write_field(out / "potential.f64", pair.xi.expanded())]
     diag = dataclasses.asdict(pair.diagnostics)
     return written + [_write_json(out / "gauge.json", _doc(ctx.cfg, "gauge", diag))]
 

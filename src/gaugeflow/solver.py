@@ -188,9 +188,9 @@ class PicardMap:
     built frees both before the first Picard step.
 
     P^T is a contiguous copy, since batched products with a transposed view
-    as right operand take numpy's slow path.  d(star xi) is exactly
-    antisymmetric, as xi is, so it is held as so(m) channels, a third of
-    its full size at m = 3; each step's two readers expand it one component
+    as right operand take numpy's slow path.  d(star xi) is the pair's own
+    so(m) channels, a third of its full size at m = 3, so building the map
+    takes no derivative; each step's two readers expand it one component
     at a time.  dP is not held: each step takes the rotation's partials
     itself, one at a time, where its two wedges read them, so the map holds
     two thirds of a 2-form at m = 3 where dP alone would hold one.
@@ -201,8 +201,7 @@ class PicardMap:
 
     @classmethod
     def of(cls, gauge_pair: GaugePair) -> "PicardMap":
-        return cls(gauge._transpose(gauge_pair.P.coeffs[0]),
-                   SkewForm.of(forms.exterior_derivative(forms.hodge_star(gauge_pair.xi))))
+        return cls(gauge._transpose(gauge_pair.P.coeffs[0]), gauge_pair.d_star_xi)
 
 
 def _scale(arr: np.ndarray, weight: float) -> None:

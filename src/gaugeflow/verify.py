@@ -143,9 +143,9 @@ def conservation_residual(A: MatrixForm, B: MatrixForm, u: MapField) -> Residual
 def judge(measured: ResidualReport, budget_components: tuple) -> ResidualReport:
     """The certificate: `measured` with its budget, the sum of the (name,
     value) defect pairs, which it stores.  Raises when l2 exceeds
-    BUDGET_FACTOR x budget."""
+    BUDGET_FACTOR x budget, or when either is NaN."""
     budget = float(sum(value for _, value in budget_components))
-    if measured.l2 > BUDGET_FACTOR * budget:
+    if not measured.l2 <= BUDGET_FACTOR * budget:  # NaN fails too
         raise ValueError(
             f"conservation residual {measured.l2:.3e} exceeds the defect "
             f"budget {budget:.3e} (factor {BUDGET_FACTOR})")

@@ -304,9 +304,11 @@ class TestCommands:
                                                   ("heatflow_study.ini", 1)])
     def test_verify_measures_the_connection_once(self, name, expansions, tmp_path,
                                                  monkeypatch):
-        # Connection.of checks the built Omega; the other two checks are on
-        # xi and d(star xi).  Only the sphere-divergence certificate expands
-        # the channels; no stage re-expands Omega to measure it.
+        # Connection.of checks the built Omega and the gauge completion
+        # d(star xi); xi is skew by construction.  The completion expands xi
+        # for d(star xi) and the gauge stage to write it; of Omega, only the
+        # sphere-divergence certificate expands the channels, and no stage
+        # re-expands Omega to measure it.
         defect, expanded = forms.MatrixForm.antisymmetry_defect, forms.SkewForm.expanded
         checked, expansions_seen = [], []
 
@@ -322,8 +324,8 @@ class TestCommands:
         monkeypatch.setattr(forms.SkewForm, "expanded", counted_expanded)
         assert cli.main(["verify", "--config", str(SHIPPED_SYNTHETIC.parent / name),
                          "--set", "grid.res=16", "--out", str(tmp_path / "run")]) == 0
-        assert checked == [1, 2, 2]
-        assert expansions_seen == [1] * expansions
+        assert checked == [1, 2]
+        assert expansions_seen == [2, 2] + [1] * expansions
 
     def test_gauge_fields_are_released_before_the_picard_loop(
             self, synthetic_ini, tmp_path, monkeypatch):
@@ -334,7 +336,7 @@ class TestCommands:
         ctx = pipeline._Context(cfg)
         pipeline._stage_omega(ctx, tmp_path)
         pipeline._stage_gauge(ctx, tmp_path)
-        held = (weakref.ref(ctx.pair.P.coeffs), weakref.ref(ctx.pair.xi.coeffs))
+        held = (weakref.ref(ctx.pair.P.coeffs), weakref.ref(ctx.pair.xi.upper))
         iterate = solver._iterate
         alive = []
 
@@ -364,7 +366,7 @@ class TestCommands:
 
         def recorded(omega, **kwargs):
             pair = minimize(omega, **kwargs)
-            held.extend((weakref.ref(pair.P.coeffs), weakref.ref(pair.xi.coeffs)))
+            held.extend((weakref.ref(pair.P.coeffs), weakref.ref(pair.xi.upper)))
             return pair
 
         def checked(*args, **kwargs):

@@ -117,6 +117,11 @@ class TestValidation:
         ({"epsilon": float("inf")}, "finite and nonnegative"),
         ({"delta": float("nan")}, "noise amplitude"),
         ({"map_kind": "synthetic_omega", "exact_frac": float("nan")}, r"\[0, 1\]"),
+        # an infinite tolerance passes every certificate, an infinite flow
+        # time has no step count; only the regime limit may be unbounded
+        ({"solver_tol": float("inf")}, "solver_tol must be positive and finite"),
+        ({"gauge_tol": float("inf")}, "gauge_tol must be positive and finite"),
+        ({"flow_time": float("inf")}, "flow_time must be positive and finite"),
     ])
     def test_bad_values_rejected(self, changes, hint):
         with pytest.raises(ValueError, match=hint):

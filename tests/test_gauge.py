@@ -273,8 +273,9 @@ class TestMinimize:
         assert pair.diagnostics.iterations > 0
         separate = gauge.extract_xi(pair.P, omega, pair.diagnostics.iterations)
         assert pair.diagnostics == separate.diagnostics
-        assert np.array_equal(pair.xi.coeffs.view(np.uint64),
-                              separate.xi.coeffs.view(np.uint64))
+        for field in ("xi", "d_star_xi"):
+            assert np.array_equal(getattr(pair, field).upper.view(np.uint64),
+                                  getattr(separate, field).upper.view(np.uint64))
 
     def test_iteration_cap_raises_with_trace(self):
         grid = Grid(3, 16)
@@ -339,11 +340,44 @@ except gauge.GaugeConvergenceError as exc:
 
 
 class TestExtractXi:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_completion_takes_d_star_xi_once(self, n, monkeypatch):
+        # xi is built as channels and d(star xi) is taken once, on xi's
+        # expansion; the representation residual reads d*(xi) off it, with
+        # no codifferential, and matches the codifferential bit for bit.
+        grid = Grid(n, 8)
+        omega = synth.Connection.of(synth.synthetic_connection(
+            grid, 3, np.random.default_rng(n), kmax=2, exact_frac=0.5, target_norm=0.05))
+        P = MatrixForm(grid, 0, trial_rotation(grid, 3, n)[None])
+        gauged = gauge._gauged_connection(P.coeffs[0], omega)
+        derivative, derived = forms.exterior_derivative, []
+
+        def counted(form):
+            derived.append(form.k)
+            return derivative(form)
+
+        def refused(form):
+            raise AssertionError("the completion took a codifferential")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(forms, "exterior_derivative", counted)
+            patch.setattr(forms, "codifferential", refused)
+            pair = gauge._complete(P, omega, gauged.copy(), 0.0, 0.0, 0)
+        assert derived == [1, n - 2]  # xi, then d(star xi)
+        assert isinstance(pair.xi, forms.SkewForm) and pair.xi.k == 2
+        assert isinstance(pair.d_star_xi, forms.SkewForm)
+        xi = pair.xi.expanded()
+        want = forms.exterior_derivative(forms.hodge_star(xi)).coeffs
+        assert np.array_equal(pair.d_star_xi.expanded().coeffs.view(np.uint64),
+                              want.view(np.uint64))
+        residual = forms.codifferential(xi) - MatrixForm(grid, 1, gauged)
+        assert pair.diagnostics.representation == forms.l2_norm(residual)
+
     def test_zero_connection(self):
         grid = Grid(2, 8)
         omega = MatrixForm.zeros(grid, 1, 2)
         pair = gauge.extract_xi(identity_rotation(grid, 2), omega)
-        assert np.abs(pair.xi.coeffs).max() == 0.0
+        assert np.abs(pair.xi.upper).max() == 0.0
         assert pair.diagnostics.representation == 0.0
         assert pair.diagnostics.harmonic == 0.0
 
@@ -351,9 +385,8 @@ class TestExtractXi:
         grid = Grid(3, 16)
         omega = synth.synthetic_connection(grid, 3, rng, kmax=2, target_norm=1e-2)
         pair = gauge.minimize_gauge(omega)
-        back = forms.codifferential(pair.xi)
+        back = forms.codifferential(pair.xi.expanded())
         assert forms.l2_norm(back - omega) <= 1e-8
-        assert pair.xi.antisymmetry_defect() <= 1e-12
         assert pair.diagnostics.representation <= 1e-8
 
     def test_recovers_exact_potential(self, rng):
@@ -364,7 +397,7 @@ class TestExtractXi:
         xi0 = forms.exterior_derivative(alpha)
         omega = forms.codifferential(xi0)
         pair = gauge.extract_xi(identity_rotation(grid, 3), omega)
-        assert np.abs(pair.xi.coeffs - xi0.coeffs).max() <= 1e-9
+        assert np.abs(pair.xi.expanded().coeffs - xi0.coeffs).max() <= 1e-9
 
     def test_constant_part_is_reported_not_represented(self, rng):
         grid = Grid(3, 16)
@@ -377,8 +410,13 @@ class TestExtractXi:
         expected = np.sqrt((const ** 2).sum())
         assert pair.diagnostics.harmonic == pytest.approx(expected, rel=1e-10)
         assert pair.diagnostics.representation == pytest.approx(expected, rel=1e-6)
-        back = forms.codifferential(pair.xi)
+        back = forms.codifferential(pair.xi.expanded())
         assert forms.l2_norm(back - omega) <= 1e-8
+
+
+def zero_potential(grid: Grid, m: int) -> tuple:
+    """xi = 0 and d(star xi) = 0 as so(m) channels."""
+    return tuple(forms.SkewForm.of(MatrixForm.zeros(grid, k, m)) for k in (2, grid.n - 1))
 
 
 class TestGaugePairValidation:
@@ -386,7 +424,7 @@ class TestGaugePairValidation:
         grid = Grid(2, 8)
         bad = MatrixForm(grid, 0, np.full((1,) + grid.shape + (2, 2), 0.5))
         with pytest.raises(ValueError, match="orthogonal"):
-            gauge.GaugePair(bad, MatrixForm.zeros(grid, 2, 2),
+            gauge.GaugePair(bad, *zero_potential(grid, 2),
                             gauge.GaugeDiagnostics(0.0, 0.0, 0, 0.0, 0.0))
 
     def test_rejects_reflections(self):
@@ -394,5 +432,5 @@ class TestGaugePairValidation:
         flip = np.broadcast_to(np.diag([-1.0, 1.0]), grid.shape + (2, 2)).copy()
         p = MatrixForm(grid, 0, flip[None])
         with pytest.raises(ValueError, match="determinant"):
-            gauge.GaugePair(p, MatrixForm.zeros(grid, 2, 2),
+            gauge.GaugePair(p, *zero_potential(grid, 2),
                             gauge.GaugeDiagnostics(0.0, 0.0, 0, 0.0, 0.0))

@@ -201,6 +201,21 @@ class TestCorruption:
         with pytest.raises(ValueError, match="unit sphere by nan"):
             fieldio.read_field(path)
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, "missing"])
+    def test_sphere_flag_must_be_a_json_boolean(self, tmp_path, grid, flag):
+        # only a JSON boolean: by truthiness "false" and a missing key would
+        # read as True, and 0 and null as False
+        path = tmp_path / "map.f64"
+        fieldio.write_field(path, maps.constant_map(grid, 3))
+        header = json.loads(fieldio.sidecar_path(path).read_text())
+        if flag == "missing":
+            del header["unit_sphere"]
+        else:
+            header["unit_sphere"] = flag
+        fieldio.sidecar_path(path).write_text(json.dumps(header))
+        with pytest.raises(ValueError, match="corrupt field: unit_sphere must be a JSON boolean"):
+            fieldio.read_field(path)
+
     def test_sphere_flag_enforced_on_read(self, tmp_path, grid):
         values = np.full(grid.shape + (2,), 0.5)
         u = maps.MapField(grid, values, unit_sphere=False)

@@ -12,13 +12,17 @@ from gaugeflow.forms import Grid, MatrixForm
 from gaugeflow.solver import PairState
 
 
-def identity_pair(grid: Grid, m: int, xi: MatrixForm | None = None) -> gauge.GaugePair:
+def fabricated_pair(p: MatrixForm, xi: MatrixForm) -> gauge.GaugePair:
+    """A gauge pair of rotation p and exactly skew potential xi."""
+    d_star_xi = forms.exterior_derivative(forms.hodge_star(xi))
+    diag = gauge.GaugeDiagnostics(0.0, 0.0, 0, 0.0, 0.0)
+    return gauge.GaugePair(p, forms.SkewForm.of(xi), forms.SkewForm.of(d_star_xi), diag)
+
+
+def identity_pair(grid: Grid, m: int) -> gauge.GaugePair:
     shape = (1,) + (grid.res,) * grid.n + (m, m)
     p = MatrixForm(grid, 0, np.broadcast_to(np.eye(m), shape).copy())
-    if xi is None:
-        xi = MatrixForm.zeros(grid, 2, m)
-    diag = gauge.GaugeDiagnostics(0.0, 0.0, 0, 0.0, 0.0)
-    return gauge.GaugePair(p, xi, diag)
+    return fabricated_pair(p, MatrixForm.zeros(grid, 2, m))
 
 
 def wedge_in_table_order(a: MatrixForm, b_coeffs: np.ndarray, q: int) -> np.ndarray:
@@ -208,7 +212,7 @@ class TestPicardStep:
         _, pair = coexact_setup
         image = solver.picard_step(PairState.zeros(grid, 3), solver.PicardMap.of(pair))
         assert forms.l2_norm(image.a) <= 1e-15
-        assert forms.l2_norm(image.b - pair.xi) <= 1e-10
+        assert forms.l2_norm(image.b - pair.xi.expanded()) <= 1e-10
 
     def test_map_holds_a_contiguous_transpose(self, coexact_setup):
         _, pair = coexact_setup
@@ -217,19 +221,34 @@ class TestPicardStep:
         assert np.array_equal(pt, np.swapaxes(pair.P.coeffs[0], -1, -2))
 
     def test_map_holds_d_star_xi_as_channels(self, coexact_setup):
-        # xi is exactly skew, so d(star xi) is, and its channels expand to it
+        # xi is exactly skew, so d(star xi) is: the map holds the pair's
+        # channels, which expand to d(star xi) of xi's expansion
         _, pair = coexact_setup
         d_star_xi = solver.PicardMap.of(pair).d_star_xi
-        want = forms.exterior_derivative(forms.hodge_star(pair.xi)).coeffs
+        want = forms.exterior_derivative(forms.hodge_star(pair.xi.expanded())).coeffs
+        assert d_star_xi is pair.d_star_xi
         assert isinstance(d_star_xi, forms.SkewForm)
         assert np.array_equal(d_star_xi.expanded().coeffs.view(np.uint64),
                               want.view(np.uint64))
+
+    def test_map_takes_no_derivative(self, mixed_setup, monkeypatch):
+        # The map only reads the pair: P^T and the pair's d(star xi).
+        _, pair = mixed_setup
+
+        def refused(*args, **kwargs):
+            raise AssertionError("building the map ran a derivative")
+
+        for executor in ("_image", "_add_image", "_differentiate_into"):
+            monkeypatch.setattr(forms, executor, refused)
+        monkeypatch.setattr(forms.MatrixForm, "antisymmetry_defect", refused)
+        pmap = solver.PicardMap.of(pair)
+        assert pmap.d_star_xi is pair.d_star_xi
 
     def test_zero_state_poisson_round_trip(self, grid, coexact_setup):
         _, pair = coexact_setup
         image = solver.picard_step(PairState.zeros(grid, 3), solver.PicardMap.of(pair))
         pt = np.swapaxes(pair.P.coeffs[0], -1, -2)
-        transported = forms.exterior_derivative(forms.hodge_star(pair.xi))
+        transported = forms.exterior_derivative(forms.hodge_star(pair.xi.expanded()))
         transported = transported._like(
             np.einsum("c...ij,...jk->c...ik", transported.coeffs, pt))
         src = forms.hodge_star(forms.codifferential(transported))
@@ -346,7 +365,7 @@ class TestSolvePair:
         assert report.iterations == 2
         assert report.residual_l2 <= 1e-12
         assert all(r <= 0.5 for r in report.ratios)
-        assert forms.l2_norm(B - pair.xi) <= 1e-12
+        assert forms.l2_norm(B - pair.xi.expanded()) <= 1e-12
         assert float(np.abs(A.coeffs[0] - np.eye(3)).max()) <= 1e-12
         assert report.da_n1 <= 1e-12
         assert report.db_n2 > 1e-3
@@ -444,8 +463,7 @@ class TestSolvePair:
         p = MatrixForm(grid, 0, gauge.so_exp(0.8 * skew.coeffs[0])[None])
         alpha = synth.random_matrix_form(grid, 1, 3, rng, kmax=1, antisymmetric=True)
         xi = 1e3 * forms.exterior_derivative(alpha)
-        diag = gauge.GaugeDiagnostics(0.0, 0.0, 0, 0.0, 0.0)
-        pair = gauge.GaugePair(p, xi, diag)
+        pair = fabricated_pair(p, xi)
         omega = forms.codifferential(xi)
         with pytest.raises(solver.SolverError,
                            match="three consecutive iterations") as info:
@@ -453,6 +471,38 @@ class TestSolvePair:
                               probe_seed=None, max_iter=40)
         assert len(info.value.trace) >= 3
         assert info.value.trace[-1] > info.value.trace[-3]
+
+    def test_uniqueness_probe_refusal_fires(self, mixed_setup, monkeypatch):
+        # A probe that lands on another fixed point refuses the pair, with
+        # the main run's differences attached.
+        omega, pair = mixed_setup
+        iterate = solver._iterate
+
+        def displaced_probe(pmap, state, tol, max_iter, keep_norms=True):
+            state, norms, diffs, ratios = iterate(pmap, state, tol, max_iter, keep_norms)
+            if not keep_norms:
+                state = PairState(state.a._like(state.a.coeffs + 1e-3), state.b)
+            return state, norms, diffs, ratios
+
+        monkeypatch.setattr(solver, "_iterate", displaced_probe)
+        with pytest.raises(solver.SolverError, match="uniqueness probe failed") as info:
+            solver.solve_pair(omega, solver.PicardMap.of(pair))
+        assert len(info.value.trace) >= 1
+
+    def test_invertibility_margin_refusal_fires(self, mixed_setup, monkeypatch):
+        # A = (id + a) P^T whose smallest singular value falls below
+        # 1 - sup|a| is refused.
+        omega, pair = mixed_setup
+        distance = gauge.rotation_distance
+
+        def shrunk(pointwise):
+            dist, negdet, sigma = distance(pointwise)
+            return dist, negdet, 0.5 * sigma
+
+        monkeypatch.setattr(gauge, "rotation_distance", shrunk)
+        with pytest.raises(solver.SolverError, match="invertibility margin violated") as info:
+            solver.solve_pair(omega, solver.PicardMap.of(pair), probe_seed=None)
+        assert len(info.value.trace) >= 1
 
     def test_max_iter_carries_trace(self, grid, mixed_setup):
         omega, pair = mixed_setup

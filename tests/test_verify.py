@@ -102,6 +102,14 @@ class TestConservationResidual:
         with pytest.raises(ValueError, match="exceeds the defect budget"):
             verify.judge(above, parts)
 
+    @pytest.mark.parametrize("l2, parts", [
+        (float("nan"), (("tolerance", 1e-8),)),
+        (0.0, (("tolerance", float("nan")),)),
+    ])
+    def test_judge_refuses_a_nan_residual_or_budget(self, l2, parts):
+        with pytest.raises(ValueError, match="exceeds the defect budget"):
+            verify.judge(verify.ResidualReport(l2=l2, sup=0.0), parts)
+
     def test_negative_budget_component_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             verify.ResidualReport(l2=0.0, sup=0.0, components=(("bad", -1.0),))
