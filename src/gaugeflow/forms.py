@@ -295,20 +295,19 @@ class SkewForm:
     """Degree-k so(m)-valued form, held as its strictly upper entries.
 
     `upper` has shape (C(n,k), res, ..., res, m(m-1)/2), the entries of each
-    point's matrix above the diagonal in row-major order.  `skew_part` takes
-    a MatrixForm's skew part, with `defect` 0.0 unmeasured; `of` takes only
-    one of antisymmetry defect exactly 0.0 and records the defect it
-    measured: 0.0, or nan on a NaN entry.  Readers expand one component at a time into a reused buffer: the kept entries
-    above the diagonal, their negatives below it and +0.0 on it, so every
-    nonzero entry is bitwise the original and every zero is +0.0.
-    Measurements and the linear calculus run on the full form.
+    point's matrix above the diagonal in row-major order.  `skew_part` builds
+    the channels from a MatrixForm's skew part, so they are skew by
+    construction; synth.Connection.of is where a connection's antisymmetry
+    is checked.  Readers expand one component at a time into a reused
+    buffer: the kept entries above the diagonal, their negatives below it
+    and +0.0 on it, so every nonzero entry is bitwise the original and every
+    zero is +0.0.  Measurements and the linear calculus run on the full form.
     """
 
     grid: Grid
     k: int
     m: int
     upper: np.ndarray
-    defect: float
 
     def __post_init__(self):
         shape = (len(components(self.grid.n, self.k)),) + self.grid.shape
@@ -317,27 +316,17 @@ class SkewForm:
         self.upper.setflags(write=False)
 
     @classmethod
-    def of(cls, form, **fields) -> "SkewForm":
-        """The MatrixForm as so(m) channels.  `fields` are a subclass's own
-        fields."""
-        if not isinstance(form, MatrixForm):
-            raise ValueError("so(m) channels need matrix values")
-        defect = form.antisymmetry_defect()
-        if defect > 0.0:  # a NaN entry is no defect: it reaches the readers
-            raise ValueError(f"form is not exactly antisymmetric: defect {defect:.3e}")
-        return cls.skew_part(form, defect, **fields)
-
-    @classmethod
-    def skew_part(cls, form: MatrixForm, defect: float = 0.0, **fields) -> "SkewForm":
+    def skew_part(cls, form: MatrixForm, **fields) -> "SkewForm":
         """The channels of (c - c^T) / 2, skew by construction: on an exactly
-        antisymmetric c each is c's own entry, up to the sign of a zero."""
+        antisymmetric c each is c's own entry, up to the sign of a zero.
+        `fields` are a subclass's own fields."""
         rows, cols = np.triu_indices(form.m, 1)
         # in place: a freed channel-size temporary moves glibc's mmap
         # threshold, and with it the solve stage's peak RSS
         upper = form.coeffs[..., rows, cols]
         upper -= form.coeffs[..., cols, rows]
         upper *= 0.5
-        return cls(form.grid, form.k, form.m, upper, defect, **fields)
+        return cls(form.grid, form.k, form.m, upper, **fields)
 
     @property
     def shape(self) -> tuple:

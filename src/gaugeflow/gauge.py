@@ -63,9 +63,9 @@ class GaugePair:
 
     def __post_init__(self):
         pointwise = self.P.coeffs[0]
-        if _orthogonality_defect(pointwise) > ORTHOGONALITY_TOL:
+        if not _orthogonality_defect(pointwise) <= ORTHOGONALITY_TOL:  # NaN fails too
             raise ValueError("rotation field is not orthogonal")
-        if np.linalg.det(pointwise).min() <= 0:
+        if not np.linalg.det(pointwise).min() > 0:
             raise ValueError("rotation field has non-positive determinant")
 
 
@@ -164,11 +164,10 @@ def minimize_gauge(omega: MatrixForm | synth.Connection, tol: float | None = Non
     below tol.  The default tol is relative to the L2 size of omega, so
     omega = 0 converges immediately.  The final gauged connection, energy
     and criticality complete the pair as extract_xi would, so the final
-    rotation is gauged and checked once.  omega, exactly antisymmetric, is
-    read as a synth.Connection, whose L2 size and sup it carries.
+    rotation is gauged and checked once.  omega is read as a
+    synth.Connection, whose L2 size and sup it carries; its conversion
+    refuses anything but an exactly antisymmetric 1-form.
     """
-    if omega.k != 1:
-        raise ValueError("connection must be a 1-form")
     grid = omega.grid
     omega = synth.Connection.of(omega)
     if tol is None:
@@ -222,19 +221,20 @@ def minimize_gauge(omega: MatrixForm | synth.Connection, tol: float | None = Non
     raise AssertionError("unreachable")
 
 
-def extract_xi(P: MatrixForm, omega: MatrixForm | synth.Connection,
-               iterations: int = 0) -> GaugePair:
+def extract_xi(P: MatrixForm, omega: MatrixForm | synth.Connection) -> GaugePair:
     """Complete a gauge pair: represent the gauged connection as d*(xi).
 
     xi = d (-lap)^{-1} Omega_P, so d*(xi) recovers exactly the co-exact part
     of Omega_P.  The constant part (not representable on the torus) and the
-    total representation residual are reported in the diagnostics.
+    total representation residual are reported in the diagnostics, with
+    iteration count 0.  omega is read as a synth.Connection, whose
+    conversion refuses anything but an exactly antisymmetric 1-form.
     """
     grid = omega.grid
     omega = synth.Connection.of(omega)
     gauged = _gauged_connection(P.coeffs[0], omega)
     criticality = forms.l2_norm(forms.codifferential(MatrixForm(grid, 1, gauged)))
-    return _complete(P, omega, gauged, _energy(gauged, grid), criticality, iterations)
+    return _complete(P, omega, gauged, _energy(gauged, grid), criticality, 0)
 
 
 def _complete(P: MatrixForm, omega: SkewForm, gauged: np.ndarray, energy: float,
@@ -242,7 +242,8 @@ def _complete(P: MatrixForm, omega: SkewForm, gauged: np.ndarray, energy: float,
     """extract_xi from the gauged connection of P and its energy and criticality.
 
     d(star xi) is taken once, on xi's expansion (matmuls on the channels
-    round differently), and d*(xi) = (-1)^(n+1) star d(star xi) read off it."""
+    round differently), and d*(xi) = (-1)^(n+1) star d(star xi) read off it.
+    Both are kept as skew_part channels, skew by construction."""
     grid = omega.grid
     gauged = MatrixForm(grid, 1, gauged)
     harmonic = forms.l2_norm(forms.harmonic_part(gauged))
@@ -250,6 +251,6 @@ def _complete(P: MatrixForm, omega: SkewForm, gauged: np.ndarray, energy: float,
     d_star_xi = forms.exterior_derivative(forms.hodge_star(xi.expanded()))
     sign = 1.0 if grid.n % 2 else -1.0
     representation = forms.l2_norm(sign * forms.hodge_star(d_star_xi) - gauged)
-    return GaugePair(P, xi, SkewForm.of(d_star_xi), GaugeDiagnostics(
+    return GaugePair(P, xi, SkewForm.skew_part(d_star_xi), GaugeDiagnostics(
         energy, criticality, iterations, harmonic, representation))
 

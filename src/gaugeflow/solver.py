@@ -83,7 +83,7 @@ class PairState:
             return  # a top-degree form is closed by degree
         # Relative above unit size so rounding dust never trips on large data.
         closed_defect = forms.l2_norm(forms.exterior_derivative(self.b))
-        if closed_defect > CLOSED_TOL * max(1.0, forms.l2_norm(self.b)):
+        if not closed_defect <= CLOSED_TOL * max(1.0, forms.l2_norm(self.b)):
             raise ValueError(f"two-form block is not closed: ||db|| = {closed_defect:.3e}")
 
     @classmethod
@@ -111,30 +111,30 @@ class StateNorm:
         assert self.total == self.sup_a + self.da_n2 + self.db_n2
 
 
-def _gradient_size(components, grid: Grid, q: float) -> float:
-    """Lorentz L^{n,q} norm of the full first derivative of these components."""
+def _gradient_size(components, grid: Grid) -> float:
+    """Lorentz L^{n,2} norm of the full first derivative of these components."""
     square = forms._gradient_sq(components, grid.n, grid.res)
-    return lorentz.lorentz_norm(np.sqrt(square, out=square), float(grid.n), q)
+    return lorentz.lorentz_norm(np.sqrt(square, out=square), float(grid.n), 2.0)
 
 
-def gradient_norm(form, q: float) -> float:
-    """Lorentz L^{n,q} norm of the full first derivative of a form.
+def gradient_norm(form) -> float:
+    """Lorentz L^{n,2} norm of the full first derivative of a form.
 
     One partial of one component is live at a time.
     """
-    return _gradient_size(form.coeffs, form.grid, q)
+    return _gradient_size(form.coeffs, form.grid)
 
 
 def _norm_beside(a: MatrixForm, db: float) -> StateNorm:
     """Norm of the state with 0-form block a and 2-form gradient size db."""
     sup_a = forms.sup_norm(a)
-    da = _gradient_size(a.coeffs, a.grid, 2.0)
+    da = _gradient_size(a.coeffs, a.grid)
     return StateNorm(sup_a, da, db, sup_a + da + db)
 
 
 def state_norm(a: MatrixForm, b: MatrixForm) -> StateNorm:
     """Norm of the state with blocks (a, b)."""
-    return _norm_beside(a, gradient_norm(b, 2.0))
+    return _norm_beside(a, gradient_norm(b))
 
 
 def _differences(new: np.ndarray, old: np.ndarray):
@@ -151,7 +151,7 @@ def _difference_norm(new: PairState, old: PairState) -> StateNorm:
     The 2-form difference streams one component at a time, and goes first
     so the 0-form difference, formed whole, is not live beside its work.
     """
-    db = _gradient_size(_differences(new.b.coeffs, old.b.coeffs), new.b.grid, 2.0)
+    db = _gradient_size(_differences(new.b.coeffs, old.b.coeffs), new.b.grid)
     return _norm_beside(new.a - old.a, db)
 
 
@@ -175,7 +175,7 @@ def _check_source_mean(src: MatrixForm, label: str) -> None:
     # Sources are divergences, so their means vanish to rounding; tolerance is
     # relative above unit size so scale alone cannot trip the wiring check.
     defect = float(np.abs(forms._grid_means(src)).max())
-    if defect > MEAN_TOL * max(1.0, forms.l2_norm(src)):
+    if not defect <= MEAN_TOL * max(1.0, forms.l2_norm(src)):
         raise RuntimeError(f"exactness identity broken: {label} source mean {defect:.3e}")
 
 
@@ -388,7 +388,7 @@ def solve_pair(omega: MatrixForm | synth.Connection, pmap: PicardMap, tol: float
     """
     omega = synth.Connection.of(omega)
     grid, m, size = omega.grid, omega.m, omega.n2
-    if size >= regime_limit * (1.0 - REGIME_RTOL):
+    if not size < regime_limit * (1.0 - REGIME_RTOL):  # a NaN size is refused too
         raise SolverError(
             f"outside contraction regime: ||omega|| = {size:.3e} >= {regime_limit:.3e}", [])
 

@@ -74,12 +74,11 @@ def band_limited_field(grid: Grid, rng: np.random.Generator, kmax: int,
 
 
 def random_matrix_form(grid: Grid, k: int, m: int, rng: np.random.Generator,
-                       kmax: int, kmin: int = 1,
-                       antisymmetric: bool = False) -> MatrixForm:
+                       kmax: int, antisymmetric: bool = False) -> MatrixForm:
     """Random smooth matrix-valued k-form with unit-order coefficients."""
     ncomp = len(forms.components(grid.n, k))
     coeffs = np.stack([
-        band_limited_field(grid, rng, kmax, kmin, (m, m)) for _ in range(ncomp)
+        band_limited_field(grid, rng, kmax, shape=(m, m)) for _ in range(ncomp)
     ])
     if antisymmetric:
         coeffs = 0.5 * (coeffs - np.swapaxes(coeffs, -1, -2))
@@ -146,27 +145,34 @@ def lorentz_norm_of_connection(omega: MatrixForm) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Connection(forms.SkewForm):
-    """A connection 1-form as so(m) channels, with its sizes: L^{n,2} `n2`,
-    L2 `l2` and sup `sup`.
+    """A connection 1-form as so(m) channels, with its antisymmetry `defect`
+    and its sizes: L^{n,2} `n2`, L2 `l2` and sup `sup`.
 
-    `of` is the one conversion of a connection: it takes the antisymmetry
-    defect and each size once, on the full form it converts.  omega.json,
-    the gauge's tolerance and first step, the solver's regime guard and its
-    report all read these numbers; no reader rebuilds the full form to
-    measure it again.
+    `of` is the one checked conversion of so(m)-valued data: it takes the
+    degree, the antisymmetry defect and each size once, on the full form it
+    converts.  omega.json, the gauge's tolerance and first step, the
+    solver's regime guard and its report all read these numbers; no reader
+    rebuilds the full form to measure it again.
     """
 
+    defect: float
     n2: float
     l2: float
     sup: float
 
     @classmethod
     def of(cls, omega) -> "Connection":
-        """omega, an exactly antisymmetric MatrixForm, as a Connection; a
-        Connection comes back as it is."""
+        """omega, an exactly antisymmetric MatrixForm 1-form, as a
+        Connection; a Connection comes back as it is.  The defect recorded
+        is 0.0, or nan on a NaN entry, which reaches the readers."""
         if isinstance(omega, cls):
             return omega
         if not isinstance(omega, MatrixForm):
             raise ValueError("a connection is built from a MatrixForm")
-        return super().of(omega, n2=lorentz_norm_of_connection(omega),
-                          l2=forms.l2_norm(omega), sup=forms.sup_norm(omega))
+        if omega.k != 1:
+            raise ValueError("connection must be a 1-form")
+        defect = omega.antisymmetry_defect()
+        if defect > 0.0:
+            raise ValueError(f"connection is not exactly antisymmetric: defect {defect:.3e}")
+        return cls.skew_part(omega, defect=defect, n2=lorentz_norm_of_connection(omega),
+                             l2=forms.l2_norm(omega), sup=forms.sup_norm(omega))

@@ -131,7 +131,7 @@ def conservation_residual(A: MatrixForm, B: MatrixForm, u: MapField) -> Residual
     # Rounding in the two paths grows with the flux size and the largest
     # spectral symbol; a sign error shows up at the size of dJ itself.
     scale = max(1.0, forms.sup_norm(current) * np.pi * grid.res)
-    if gap > TWO_PATH_TOL * scale:
+    if not gap <= TWO_PATH_TOL * scale:  # a NaN gap fails too
         raise RuntimeError(
             f"conservation current paths disagree: gap {gap:.3e} "
             f"exceeds {TWO_PATH_TOL:.1e} x {scale:.3e}")
@@ -182,7 +182,7 @@ def bound_ratios(A: MatrixForm, B: MatrixForm, omega: MatrixForm) -> BoundTable:
         raise ValueError("need a 0-form, a 2-form and a 1-form connection")
     dist, negdet, _ = gauge.rotation_distance(A.coeffs[0])
     da_n1 = lorentz.lorentz_norm(forms.exterior_derivative(A), float(A.grid.n), 1.0)
-    db_n2 = solver.gradient_norm(B, 2.0)
+    db_n2 = solver.gradient_norm(B)
     return BoundTable.from_sizes(
         gauge.rotation_distance_sup(dist, negdet), int(negdet.sum()), da_n1, db_n2,
         synth.lorentz_norm_of_connection(omega))

@@ -150,9 +150,9 @@ def test_coulomb_gauge():
     # the conjugate's two triangles round apart; a connection is exactly skew
     raw = np.einsum("ji,a...jk,kl->a...il", rot, omega.coeffs, rot)
     conjugated = MatrixForm(grid, 1, 0.5 * (raw - np.swapaxes(raw, -1, -2)))
-    gauged = gauge._gauged_connection(pair.P.coeffs[0], forms.SkewForm.of(omega))
+    gauged = gauge._gauged_connection(pair.P.coeffs[0], synth.Connection.of(omega))
     gauged_conj = gauge._gauged_connection(
-        gauge.minimize_gauge(conjugated).P.coeffs[0], forms.SkewForm.of(conjugated))
+        gauge.minimize_gauge(conjugated).P.coeffs[0], synth.Connection.of(conjugated))
     expected = np.einsum("ji,a...jk,kl->a...il", rot, gauged, rot)
     gap = float(np.sqrt(((gauged_conj - expected) ** 2).sum() * grid.cell))
     assert gap <= 1e-6

@@ -304,9 +304,9 @@ class TestCommands:
                                                   ("heatflow_study.ini", 1)])
     def test_verify_measures_the_connection_once(self, name, expansions, tmp_path,
                                                  monkeypatch):
-        # Connection.of checks the built Omega and the gauge completion
-        # d(star xi); xi is skew by construction.  The completion expands xi
-        # for d(star xi) and the gauge stage to write it; of Omega, only the
+        # Connection.of checks the built Omega, once; xi and d(star xi) are
+        # skew by construction.  The completion expands xi for d(star xi)
+        # and the gauge stage to write it; of Omega, only the
         # sphere-divergence certificate expands the channels, and no stage
         # re-expands Omega to measure it.
         defect, expanded = forms.MatrixForm.antisymmetry_defect, forms.SkewForm.expanded
@@ -324,7 +324,7 @@ class TestCommands:
         monkeypatch.setattr(forms.SkewForm, "expanded", counted_expanded)
         assert cli.main(["verify", "--config", str(SHIPPED_SYNTHETIC.parent / name),
                          "--set", "grid.res=16", "--out", str(tmp_path / "run")]) == 0
-        assert checked == [1, 2]
+        assert checked == [1]
         assert expansions_seen == [2, 2] + [1] * expansions
 
     def test_gauge_fields_are_released_before_the_picard_loop(

@@ -388,8 +388,7 @@ class TestSkewForm:
         rng = np.random.default_rng(10 * n + m)
         for k in range(n + 1):
             form = synth.random_matrix_form(grid, k, m, rng, kmax=2, antisymmetric=True)
-            skew = SkewForm.of(form)
-            assert skew.defect == 0.0
+            skew = SkewForm.skew_part(form)
             assert skew.upper.shape == form.coeffs.shape[:-2] + (m * (m - 1) // 2,)
             assert skew.shape == form.coeffs.shape
             assert np.array_equal(_bits(skew.expanded().coeffs), _bits(form.coeffs))
@@ -400,39 +399,42 @@ class TestSkewForm:
 
     def test_zeros_round_trip(self):
         zero = MatrixForm.zeros(Grid(3, 8), 1, 3)
-        assert np.array_equal(_bits(SkewForm.of(zero).expanded().coeffs), _bits(zero.coeffs))
+        assert np.array_equal(_bits(SkewForm.skew_part(zero).expanded().coeffs), _bits(zero.coeffs))
 
     def test_upper_entries_in_row_major_order(self):
         values = np.array([[0.0, 1.0, 2.0, 3.0], [-1.0, 0.0, 4.0, 5.0],
                            [-2.0, -4.0, 0.0, 6.0], [-3.0, -5.0, -6.0, 0.0]])
         grid = Grid(2, 8)
         form = MatrixForm(grid, 0, np.broadcast_to(values, (1,) + grid.shape + (4, 4)).copy())
-        assert np.array_equal(SkewForm.of(form).upper[0, 0, 0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        assert np.array_equal(SkewForm.skew_part(form).upper[0, 0, 0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
 
     def test_refuses_a_nonzero_defect(self, rng):
+        # synth.Connection.of is the one checked conversion to channels
         form = synth.random_matrix_form(Grid(3, 8), 1, 3, rng, kmax=2, antisymmetric=True)
+        assert synth.Connection.of(form).defect == 0.0
         coeffs = form.coeffs.copy()
         coeffs[1, 2, 3, 4, 2, 0] = np.nextafter(coeffs[1, 2, 3, 4, 2, 0], np.inf)
         with pytest.raises(ValueError, match="not exactly antisymmetric"):
-            SkewForm.of(MatrixForm(form.grid, 1, coeffs))
+            synth.Connection.of(MatrixForm(form.grid, 1, coeffs))
+        identity = np.broadcast_to(identity_form(form.grid, 3).coeffs, form.coeffs.shape)
         with pytest.raises(ValueError, match="not exactly antisymmetric"):
-            SkewForm.of(identity_form(form.grid, 3))
-        with pytest.raises(ValueError, match="matrix values"):
-            SkewForm.of(VectorForm.zeros(form.grid, 1, 3))
+            synth.Connection.of(MatrixForm(form.grid, 1, identity.copy()))
+        with pytest.raises(ValueError, match="built from a MatrixForm"):
+            synth.Connection.of(VectorForm.zeros(form.grid, 1, 3))
 
     def test_a_skew_form_is_refused(self, rng):
-        # only a MatrixForm is converted; a Connection keeps its own `of`
-        skew = SkewForm.of(synth.random_matrix_form(Grid(2, 8), 1, 3, rng, kmax=2,
-                                                    antisymmetric=True))
-        with pytest.raises(ValueError, match="matrix values"):
-            SkewForm.of(skew)
+        # only a MatrixForm is converted; a Connection comes back as it is
+        skew = SkewForm.skew_part(synth.random_matrix_form(Grid(2, 8), 1, 3, rng, kmax=2,
+                                                           antisymmetric=True))
+        with pytest.raises(ValueError, match="built from a MatrixForm"):
+            synth.Connection.of(skew)
         assert not skew.upper.flags.writeable
 
     def test_a_nan_entry_is_recorded(self, rng):
         form = synth.random_matrix_form(Grid(3, 8), 1, 3, rng, kmax=2, antisymmetric=True)
         coeffs = form.coeffs.copy()
         coeffs[1, 2, 3, 4, 0, 1] = np.nan
-        assert np.isnan(SkewForm.of(MatrixForm(form.grid, 1, coeffs)).defect)
+        assert np.isnan(synth.Connection.of(MatrixForm(form.grid, 1, coeffs)).defect)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_wedge_reads_the_expansion(self, n):
@@ -442,7 +444,7 @@ class TestSkewForm:
         a = synth.random_matrix_form(grid, 1, 3, rng, kmax=2)
         b = synth.random_matrix_form(grid, n - 1, 3, rng, kmax=2, antisymmetric=True)
         want = forms._wedge_coeffs(a, b)
-        assert np.array_equal(_bits(forms._wedge_coeffs(a, SkewForm.of(b))), _bits(want))
+        assert np.array_equal(_bits(forms._wedge_coeffs(a, SkewForm.skew_part(b))), _bits(want))
 
 
 
@@ -872,7 +874,7 @@ class TestTransformCount:
         form = synth.random_matrix_form(Grid(3, 8), 2, 2, rng, kmax=2)
         fft_calls.clear()  # synth draws with a complex inverse transform
         if op == "gradient_norm":
-            solver.gradient_norm(form, 2.0)
+            solver.gradient_norm(form)
         else:
             getattr(forms, op)(form)
         assert not fft_calls

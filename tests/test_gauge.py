@@ -1,5 +1,6 @@
 """Coulomb gauge minimization and potential extraction."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -156,7 +157,7 @@ class TestGaugedConnection:
         omega = synth.synthetic_connection(grid, m, np.random.default_rng(n + m), kmax=2,
                                            exact_frac=0.5, target_norm=0.3)
         pointwise = trial_rotation(grid, m, n * m)
-        got = gauge._gauged_connection(pointwise, forms.SkewForm.of(omega))
+        got = gauge._gauged_connection(pointwise, synth.Connection.of(omega))
         want = broadcast_gauged_connection(pointwise, omega)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -169,7 +170,7 @@ class TestGaugedConnection:
         omega = synth.synthetic_connection(grid, 3, np.random.default_rng(3), kmax=2,
                                            exact_frac=0.5, target_norm=0.3)
         pointwise = trial_rotation(grid, 3, 9)
-        peak = transient_peak(gauge._gauged_connection, pointwise, forms.SkewForm.of(omega))
+        peak = transient_peak(gauge._gauged_connection, pointwise, synth.Connection.of(omega))
         assert peak <= 2.25 * omega.coeffs.nbytes
 
 
@@ -206,14 +207,14 @@ class TestMinimize:
                                            exact_frac=0.5, target_norm=0.05)
         pair = gauge.minimize_gauge(omega)
         assert pair.diagnostics.iterations > 0
-        gauged = gauge._gauged_connection(pair.P.coeffs[0], forms.SkewForm.of(omega))
+        gauged = gauge._gauged_connection(pair.P.coeffs[0], synth.Connection.of(omega))
 
         r = gauge.so_exp(random_skew(np.random.default_rng(8), (), 3))
         # the conjugate's two triangles round apart; a connection is exactly skew
         raw = np.einsum("ji,a...jk,kl->a...il", r, omega.coeffs, r)
         conjugated = MatrixForm(grid, 1, 0.5 * (raw - np.swapaxes(raw, -1, -2)))
         pair_r = gauge.minimize_gauge(conjugated)
-        gauged_r = gauge._gauged_connection(pair_r.P.coeffs[0], forms.SkewForm.of(conjugated))
+        gauged_r = gauge._gauged_connection(pair_r.P.coeffs[0], synth.Connection.of(conjugated))
         expected = np.einsum("ji,a...jk,kl->a...il", r, gauged, r)
         diff = np.sqrt(((gauged_r - expected) ** 2).sum() * grid.cell)
         assert diff <= 1e-6
@@ -271,8 +272,10 @@ class TestMinimize:
                                            exact_frac=0.5, target_norm=0.05)
         pair = gauge.minimize_gauge(omega)
         assert pair.diagnostics.iterations > 0
-        separate = gauge.extract_xi(pair.P, omega, pair.diagnostics.iterations)
-        assert pair.diagnostics == separate.diagnostics
+        separate = gauge.extract_xi(pair.P, omega)
+        assert separate.diagnostics.iterations == 0
+        assert pair.diagnostics == dataclasses.replace(
+            separate.diagnostics, iterations=pair.diagnostics.iterations)
         for field in ("xi", "d_star_xi"):
             assert np.array_equal(getattr(pair, field).upper.view(np.uint64),
                                   getattr(separate, field).upper.view(np.uint64))
@@ -333,7 +336,7 @@ except gauge.GaugeConvergenceError as exc:
                                            exact_frac=0.5, target_norm=0.05)
         fast = gauge.minimize_gauge(omega)
         slow = gauge.minimize_gauge(omega, preconditioned=False, max_iter=20000)
-        skew = forms.SkewForm.of(omega)
+        skew = synth.Connection.of(omega)
         a = gauge._gauged_connection(fast.P.coeffs[0], skew)
         b = gauge._gauged_connection(slow.P.coeffs[0], skew)
         assert np.sqrt(((a - b) ** 2).sum() * grid.cell) <= 1e-6
@@ -416,7 +419,7 @@ class TestExtractXi:
 
 def zero_potential(grid: Grid, m: int) -> tuple:
     """xi = 0 and d(star xi) = 0 as so(m) channels."""
-    return tuple(forms.SkewForm.of(MatrixForm.zeros(grid, k, m)) for k in (2, grid.n - 1))
+    return tuple(forms.SkewForm.skew_part(MatrixForm.zeros(grid, k, m)) for k in (2, grid.n - 1))
 
 
 class TestGaugePairValidation:
@@ -426,6 +429,25 @@ class TestGaugePairValidation:
         with pytest.raises(ValueError, match="orthogonal"):
             gauge.GaugePair(bad, *zero_potential(grid, 2),
                             gauge.GaugeDiagnostics(0.0, 0.0, 0, 0.0, 0.0))
+
+    @staticmethod
+    def pair_with_a_nan_rotation():
+        grid = Grid(2, 8)
+        eye = identity_rotation(grid, 2).coeffs.copy()
+        eye[0, 3, 5, 0, 1] = np.nan
+        return gauge.GaugePair(MatrixForm(grid, 0, eye), *zero_potential(grid, 2),
+                               gauge.GaugeDiagnostics(0.0, 0.0, 0, 0.0, 0.0))
+
+    def test_rejects_a_nan_rotation(self):
+        with pytest.raises(ValueError, match="not orthogonal"):
+            self.pair_with_a_nan_rotation()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+    def test_determinant_guard_refuses_nan(self, monkeypatch):
+        # past the orthogonality check, a NaN determinant is refused too
+        monkeypatch.setattr(gauge, "_orthogonality_defect", lambda pointwise: 0.0)
+        with pytest.raises(ValueError, match="non-positive determinant"):
+            self.pair_with_a_nan_rotation()
 
     def test_rejects_reflections(self):
         grid = Grid(2, 8)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gaugeflow import forms, synth
+from gaugeflow import forms, gauge, solver, synth
 from gaugeflow.forms import Grid, codifferential, exterior_derivative, l2_norm
 
 
@@ -106,3 +106,24 @@ class TestSyntheticConnection:
             synth.synthetic_connection(g, 2, rng, kmax=2, exact_frac=1.5)
         with pytest.raises(ValueError):
             synth.synthetic_connection(g, 2, rng, kmax=2, support="disc")
+
+
+class TestConnection:
+    """Connection.of is the one checked conversion of a connection."""
+
+    def test_stages_refuse_a_two_form(self):
+        # an antisymmetric 2-form at n = 3 has as many components as a
+        # 1-form, so only the degree check stops the stages reading it
+        grid = Grid(3, 8)
+        omega = synth.synthetic_connection(grid, 3, np.random.default_rng(4), kmax=2,
+                                           target_norm=0.05)
+        two_form = synth.random_matrix_form(grid, 2, 3, np.random.default_rng(5), kmax=2,
+                                            antisymmetric=True)
+        eye = np.broadcast_to(np.eye(3), (1,) + grid.shape + (3, 3)).copy()
+        pmap = solver.PicardMap.of(gauge.minimize_gauge(omega))
+        with pytest.raises(ValueError, match="connection must be a 1-form"):
+            gauge.minimize_gauge(two_form)
+        with pytest.raises(ValueError, match="connection must be a 1-form"):
+            gauge.extract_xi(forms.MatrixForm(grid, 0, eye), two_form)
+        with pytest.raises(ValueError, match="connection must be a 1-form"):
+            solver.solve_pair(two_form, pmap)

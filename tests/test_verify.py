@@ -70,6 +70,15 @@ class TestConservationResidual:
         assert report.l2 == pytest.approx(lap, rel=1e-12)
         assert report.l2 > 1.0
 
+    def test_a_nan_entry_fails_the_two_path_check(self, relaxed_pair):
+        # a NaN in A makes the gap between the two assemblies NaN, which
+        # must refuse the measurement rather than pass it on
+        u, A, B = relaxed_pair
+        coeffs = A.coeffs.copy()
+        coeffs[0, 1, 2, 3, 0, 1] = np.nan
+        with pytest.raises(RuntimeError, match="paths disagree"):
+            verify.conservation_residual(MatrixForm(A.grid, 0, coeffs), B, u)
+
     def test_degree_and_grid_guards(self, grid):
         u = maps.constant_map(grid, 3)
         eye = identity_matrix_form(grid, 3)
